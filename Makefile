@@ -215,6 +215,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzReadInstance -fuzztime=$(FUZZTIME) ./internal/encode/
 	$(GO) test -run=xxx -fuzz=FuzzReadTopology -fuzztime=$(FUZZTIME) ./internal/encode/
 	$(GO) test -run=xxx -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run=xxx -fuzz=FuzzWALPayload -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=xxx -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run=xxx -fuzz=FuzzReplDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 

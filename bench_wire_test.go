@@ -145,7 +145,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	start := len(frame)
 	frame = wire.BeginFrame(frame, wire.MsgMutate, 0, 1)
 	frame = wire.AppendString(frame, "bench")
-	frame = wire.AppendOps(frame, ops)
+	frame = serve.AppendOps(frame, ops)
 	frame = wire.EndFrame(frame, start, false)
 
 	src := &loopBytes{data: frame}
@@ -164,7 +164,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = wire.BeginFrame(buf[:0], wire.MsgMutate, 0, uint64(i))
 		buf = wire.AppendString(buf, "bench")
-		buf = wire.AppendOps(buf, ops)
+		buf = serve.AppendOps(buf, ops)
 		buf = wire.EndFrame(buf, 0, false)
 		h, payload, err := r.Next()
 		if err != nil || h.Type != wire.MsgMutate {
@@ -174,7 +174,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		decoded, _, err = wire.DecodeOps(rest, decoded[:0])
+		decoded, _, err = serve.DecodeOps(rest, decoded[:0])
 		if err != nil || len(decoded) != 1 {
 			b.Fatal("ops", err)
 		}

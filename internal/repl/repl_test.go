@@ -797,7 +797,7 @@ func TestFollowerStuckWhenLogStartPruned(t *testing.T) {
 	fol, err := repl.NewFollower(repl.FollowerConfig{
 		Manager: folN.m, NodeID: "n2", LeaderAddr: ln.Addr().String(),
 		Backoff: time.Millisecond, Registry: obs.NewRegistry(),
-		Logf:    func(string, ...any) { logged.Add(1) },
+		Logf: func(string, ...any) { logged.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -814,5 +814,50 @@ func TestFollowerStuckWhenLogStartPruned(t *testing.T) {
 	}
 	if s := fol.Stats(); s.Resyncs != 0 {
 		t.Fatalf("zero-cursor follower counted a resync that cannot help: %+v", s)
+	}
+}
+
+// TestFollowerSurfacesOversizedBatch: a leader running a larger queue
+// than its follower (-batch-cap 2048 -queue-cap 4096 against the
+// default 1024, here 16 ops against 8) ships a batch record the
+// follower's queue can never hold. The feed loop must stop with
+// serve.BatchTooBigError naming both sizes instead of spinning.
+func TestFollowerSurfacesOversizedBatch(t *testing.T) {
+	ldrN := newNode(t, "n1", store.SyncNone, false)
+	defer ldrN.close()
+	ldr, ln := startLeader(t, ldrN, 1, nil)
+	defer ldr.Close()
+	s := mustCreate(t, ldrN.m, "big", pts(16))
+	batch := make([]serve.Mutation, 16)
+	for i := range batch {
+		batch[i] = serve.SetRadius(int64(i), 1.5)
+	}
+	if _, err := s.ApplyBatch(batch); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	drain(t, ldrN.m)
+
+	st := openStore(t, t.TempDir(), store.SyncNone)
+	defer st.Close()
+	m := serve.NewManager(serve.Config{Shards: 1, NoCoalesce: true, QueueCap: 8, Store: st})
+	defer m.Close(context.Background())
+	fol, err := repl.NewFollower(repl.FollowerConfig{
+		Manager: m, NodeID: "n2", LeaderAddr: ln.Addr().String(),
+		Backoff: 2 * time.Millisecond, Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatalf("NewFollower: %v", err)
+	}
+	defer fol.Stop()
+	ran := make(chan error, 1)
+	go func() { ran <- fol.Run() }()
+	select {
+	case err := <-ran:
+		var big *serve.BatchTooBigError
+		if !errors.As(err, &big) || big.Ops != 16 || big.QueueCap != 8 {
+			t.Fatalf("Run: got %v, want BatchTooBigError{Ops: 16, QueueCap: 8}", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower still running after 10s on an oversized record")
 	}
 }

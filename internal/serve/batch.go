@@ -73,9 +73,9 @@ type Mutation struct {
 	// enqueued this mutation (nil = untraced); the batch that drains it
 	// adopts the first traced mutation's context. EnqNS is the enqueue
 	// wall clock, stamped by Apply while observability is on — the
-	// flight recorder's queue-wait stage. Neither field travels through
-	// the WAL op encoding; the batch record carries one trace-stamp line
-	// instead (see logBatch).
+	// flight recorder's queue-wait stage. Neither field is part of the
+	// op encoding (codec.go): a WAL batch record carries the batch's
+	// context once, in its fixed trace stamp (see logBatch).
 	TC    *obs.TraceContext
 	EnqNS int64
 }
@@ -199,11 +199,9 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 // formatOp renders the op-specific fields of a trace line.
 func formatOp(mu Mutation) string { return string(appendOp(nil, mu)) }
 
-// appendOp is formatOp in append form — the WAL encode path renders
-// batch payloads through it into a reused buffer, so the per-batch
-// record costs no intermediate strings (the BENCH_3 WAL throughput
-// fix). Output is byte-identical to the historical fmt.Sprintf
-// rendering; parseFields round-trips both.
+// appendOp is formatOp in append form. It renders the deterministic
+// trace only — WAL records carry the binary op block (codec.go) — and
+// parseFields round-trips its output exactly, integers included.
 func appendOp(dst []byte, mu Mutation) []byte {
 	appendFloat := func(dst []byte, f float64) []byte {
 		return strconv.AppendFloat(dst, f, 'g', -1, 64)
@@ -240,15 +238,9 @@ func appendOp(dst []byte, mu Mutation) []byte {
 	return append(dst, "unknown"...)
 }
 
-// traceHeader renders the instance preamble for a graph-measure
-// session (the historical format, byte-identical to pre-measure rimd).
-func traceHeader(pts []geom.Point) []string {
-	return traceHeaderMeasure(pts, MeasureGraph)
-}
-
 // traceHeaderMeasure renders the instance preamble. Non-default
 // measures append a measure= token to the header line; the graph
-// default stays tokenless so existing traces, WALs, and their parsers
+// default stays tokenless so existing traces and their parsers
 // round-trip unchanged.
 func traceHeaderMeasure(pts []geom.Point, measure string) []string {
 	lines := make([]string, 0, len(pts)+1)
@@ -261,17 +253,6 @@ func traceHeaderMeasure(pts []geom.Point, measure string) []string {
 		lines = append(lines, fmt.Sprintf("p i=%d x=%s y=%s", i, ftoa(p.X), ftoa(p.Y)))
 	}
 	return lines
-}
-
-// headerMeasure extracts the measure token from a rimd-trace header
-// line, defaulting to graph for legacy headers.
-func headerMeasure(header string) string {
-	for _, tok := range strings.Fields(header) {
-		if v, ok := strings.CutPrefix(tok, "measure="); ok {
-			return v
-		}
-	}
-	return MeasureGraph
 }
 
 // ErrTruncated reports trace text that does not end in a newline: the
@@ -353,21 +334,21 @@ func parseTrace(text string) (pts []geom.Point, ops []Mutation, marks []batchMar
 			continue
 		}
 		fields := strings.Fields(line)
-		kv, verb, rejected, perr := parseFields(fields)
+		tf, perr := parseFields(fields)
 		if perr != nil {
 			return nil, nil, nil, fmt.Errorf("serve: trace line %d: %w", no+2, perr)
 		}
 		switch {
 		case fields[0] == "p":
-			pts = append(pts, geom.Pt(kv["x"], kv["y"]))
+			pts = append(pts, geom.Pt(tf.floats["x"], tf.floats["y"]))
 		case fields[0] == "m":
-			mu, merr := opFromTrace(verb, kv, rejected)
+			mu, merr := opFromTrace(tf)
 			if merr != nil {
 				return nil, nil, nil, fmt.Errorf("serve: trace line %d: %w", no+2, merr)
 			}
 			ops = append(ops, mu)
 		case fields[0] == "b":
-			marks = append(marks, batchMark{end: len(ops), seq: uint64(kv["seq"]), k: int(kv["k"])})
+			marks = append(marks, batchMark{end: len(ops), seq: uint64(tf.ints["seq"]), k: int(tf.ints["k"])})
 		default:
 			return nil, nil, nil, fmt.Errorf("serve: trace line %d: unknown record %q", no+2, fields[0])
 		}
@@ -385,44 +366,58 @@ func first(lines []string) string {
 	return lines[0]
 }
 
-// parseFields splits a trace line's tokens into key=value pairs plus the
-// op verb (the first bare token after the record tag, skipping "reject").
-func parseFields(fields []string) (kv map[string]float64, verb string, rejected bool, err error) {
-	kv = make(map[string]float64)
-	for _, tok := range fields[1:] {
-		k, v, isKV := strings.Cut(tok, "=")
-		if !isKV {
-			if tok == "reject" {
-				rejected = true
-			} else if verb == "" {
-				verb = tok
-			}
-			continue
-		}
-		f, perr := strconv.ParseFloat(v, 64)
-		if perr != nil {
-			return nil, "", false, fmt.Errorf("bad value %q: %v", tok, perr)
-		}
-		kv[k] = f
-	}
-	return kv, verb, rejected, nil
+// intTraceKeys are the trace keys whose values are integers. They parse
+// as integers: through a float64, an id or seed above 2^53 would come
+// back as a different number.
+var intTraceKeys = map[string]bool{"id": true, "seed": true, "iters": true, "seq": true, "k": true, "n": true, "i": true}
+
+// traceFields is one parsed trace line: the op verb (the first bare
+// token after the record tag, skipping "reject" — rejection is an
+// outcome, not an input, and replays re-derive it) and its values.
+type traceFields struct {
+	verb   string
+	ints   map[string]int64
+	floats map[string]float64
 }
 
-func opFromTrace(verb string, kv map[string]float64, rejected bool) (Mutation, error) {
-	op, ok := opFromString(verb)
-	if !ok {
-		return Mutation{}, fmt.Errorf("unknown op %q", verb)
+// parseFields parses a trace line's tokens; every value that is not an
+// integer key must be a float.
+func parseFields(fields []string) (traceFields, error) {
+	tf := traceFields{ints: map[string]int64{}, floats: map[string]float64{}}
+	for _, tok := range fields[1:] {
+		k, v, isKV := strings.Cut(tok, "=")
+		var err error
+		switch {
+		case !isKV:
+			if tok != "reject" && tf.verb == "" {
+				tf.verb = tok
+			}
+		case intTraceKeys[k]:
+			tf.ints[k], err = strconv.ParseInt(v, 10, 64)
+		default:
+			tf.floats[k], err = strconv.ParseFloat(v, 64)
+		}
+		if err != nil {
+			return traceFields{}, fmt.Errorf("bad value %q: %v", tok, err)
+		}
 	}
-	_ = rejected // rejection is an outcome, not an input; replays re-derive it
-	mu := Mutation{Op: op, Node: int64(kv["id"])}
+	return tf, nil
+}
+
+func opFromTrace(tf traceFields) (Mutation, error) {
+	op, ok := opFromString(tf.verb)
+	if !ok {
+		return Mutation{}, fmt.Errorf("unknown op %q", tf.verb)
+	}
+	mu := Mutation{Op: op, Node: tf.ints["id"]}
 	switch op {
 	case OpAdd, OpMove:
-		mu.X, mu.Y = kv["x"], kv["y"]
+		mu.X, mu.Y = tf.floats["x"], tf.floats["y"]
 	case OpSetRadius:
-		mu.R = kv["r"]
+		mu.R = tf.floats["r"]
 	case OpAnneal:
-		mu.Iters = int(kv["iters"])
-		mu.Seed = int64(kv["seed"])
+		mu.Iters = int(tf.ints["iters"])
+		mu.Seed = tf.ints["seed"]
 	}
 	return mu, nil
 }

@@ -16,14 +16,19 @@ import (
 )
 
 // Durability glue: how the serving layer uses internal/store. The store
-// frames, checksums, and fsyncs; this file owns the payload encodings —
+// frames, checksums, and fsyncs; serve owns the payloads —
 //
-//   - a create record carries the rimd-trace v1 instance preamble;
-//   - a batch record carries one formatOp line per mutation, in apply
-//     order (post-coalesce), with Record.Seq = the session's mutation-log
-//     position after the batch;
+//   - a create record carries the session's measure and initial point
+//     block (appendCreatePayload, codec.go);
+//   - a batch record carries a fixed trace stamp and the op block of
+//     the batch in apply order (post-coalesce), the same op bytes a wire
+//     mutate frame carries (appendBatchPayload, codec.go), with
+//     Record.Seq = the session's mutation-log position after the batch;
 //   - a checkpoint carries a full behavioral session snapshot in the
 //     rimsess v1 text format below.
+//
+// Recovery and replication decode batch records with one function,
+// Session.applyReplicated (replicate.go).
 //
 // Write-ahead ordering: runBatch appends the batch record before applying
 // it, so an acknowledged batch is durable (under -fsync=always) even if
@@ -57,142 +62,6 @@ func (m *Manager) walOK() bool {
 	return m.cfg.Store != nil && !m.walBroken.Load()
 }
 
-// createPayload renders the create-record payload: the same instance
-// preamble a deterministic trace starts with, measure token included —
-// recovery and replication must rebuild the session under the same
-// engine, and graph-measure payloads stay byte-identical to pre-measure
-// rimd.
-func createPayload(pts []geom.Point, measure string) []byte {
-	var sb strings.Builder
-	for _, l := range traceHeaderMeasure(pts, measure) {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	return []byte(sb.String())
-}
-
-// parseCreatePayload inverts createPayload, returning the session's
-// measure (graph for legacy records without the token).
-func parseCreatePayload(payload []byte) ([]geom.Point, string, error) {
-	text := string(payload)
-	pts, ops, err := ParseTrace(text)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(ops) != 0 {
-		return nil, "", fmt.Errorf("serve: create record carries %d mutation lines", len(ops))
-	}
-	header, _, _ := strings.Cut(text, "\n")
-	return pts, headerMeasure(header), nil
-}
-
-// encodeBatch renders one formatOp line per mutation, appending onto
-// dst (pass dst[:0] to reuse a buffer across batches).
-func encodeBatch(dst []byte, batch []Mutation) []byte {
-	for i := range batch {
-		dst = appendOp(dst, batch[i])
-		dst = append(dst, '\n')
-	}
-	return dst
-}
-
-// parseBatchPayload inverts encodeBatch. '#'-comment lines (the trace
-// stamp, or annotations from future writers) are skipped — they are
-// metadata about the batch, not mutations of it.
-func parseBatchPayload(payload []byte) ([]Mutation, error) {
-	text := strings.TrimRight(string(payload), "\n")
-	if text == "" {
-		return nil, nil
-	}
-	lines := strings.Split(text, "\n")
-	muts := make([]Mutation, 0, len(lines))
-	for no, line := range lines {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		// Reuse the trace-line field parser with a synthetic record tag.
-		kv, verb, rejected, err := parseFields(append([]string{"b"}, strings.Fields(line)...))
-		if err != nil {
-			return nil, fmt.Errorf("serve: batch line %d: %w", no+1, err)
-		}
-		mu, err := opFromTrace(verb, kv, rejected)
-		if err != nil {
-			return nil, fmt.Errorf("serve: batch line %d: %w", no+1, err)
-		}
-		muts = append(muts, mu)
-	}
-	return muts, nil
-}
-
-// traceStampPrefix opens the batch record's trace annotation line.
-const traceStampPrefix = "# trace "
-
-// appendTraceStamp renders the trace annotation a traced batch's WAL
-// record carries after its op lines:
-//
-//	# trace id=<hex> span=<batch span id> flags=<n>
-//
-// The '#' keeps it invisible to parseBatchPayload; ParseBatchTrace
-// recovers it so a replication follower can link its apply span back to
-// the leader's batch span.
-func appendTraceStamp(dst []byte, traceID, span uint64, flags uint8) []byte {
-	dst = append(dst, traceStampPrefix...)
-	dst = append(dst, "id="...)
-	dst = strconv.AppendUint(dst, traceID, 16)
-	dst = append(dst, " span="...)
-	dst = strconv.AppendUint(dst, span, 10)
-	dst = append(dst, " flags="...)
-	dst = strconv.AppendUint(dst, uint64(flags), 10)
-	return append(dst, '\n')
-}
-
-// ParseBatchTrace extracts the trace stamp from a batch record payload.
-// The returned context's SpanID is the *writer's* batch span — the causal
-// parent a replicated re-apply links to. ok is false for untraced or
-// legacy records.
-func ParseBatchTrace(payload []byte) (tc obs.TraceContext, ok bool) {
-	text := string(payload)
-	for len(text) > 0 {
-		line := text
-		if i := strings.IndexByte(text, '\n'); i >= 0 {
-			line, text = text[:i], text[i+1:]
-		} else {
-			text = ""
-		}
-		if !strings.HasPrefix(line, traceStampPrefix) {
-			continue
-		}
-		for _, tok := range strings.Fields(line[len(traceStampPrefix):]) {
-			k, v, isKV := strings.Cut(tok, "=")
-			if !isKV {
-				continue
-			}
-			switch k {
-			case "id":
-				u, err := strconv.ParseUint(v, 16, 64)
-				if err != nil {
-					return obs.TraceContext{}, false
-				}
-				tc.TraceID = u
-			case "span":
-				u, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					return obs.TraceContext{}, false
-				}
-				tc.SpanID = u
-			case "flags":
-				u, err := strconv.ParseUint(v, 10, 8)
-				if err != nil {
-					return obs.TraceContext{}, false
-				}
-				tc.Flags = uint8(u)
-			}
-		}
-		return tc, tc.TraceID != 0
-	}
-	return obs.TraceContext{}, false
-}
-
 // logBatch write-ahead-logs one about-to-apply batch. Owner goroutine
 // only. Errors trip the manager-wide fail-open switch. The append runs
 // under ckptMu so a batch that raced past the dropped-flag check still
@@ -205,10 +74,11 @@ func (s *Session) logBatch(batch []Mutation, tc *obs.TraceContext, batchSpan uin
 	// synchronously (the store copies it into its own encode buffer), so
 	// reusing it across batches is safe and keeps the log path
 	// allocation-free at steady state.
-	s.walBuf = encodeBatch(s.walBuf[:0], batch)
+	var stamp obs.TraceContext
 	if tc != nil {
-		s.walBuf = appendTraceStamp(s.walBuf, tc.TraceID, batchSpan, tc.Flags)
+		stamp = obs.TraceContext{TraceID: tc.TraceID, SpanID: batchSpan, Flags: tc.Flags}
 	}
+	s.walBuf = appendBatchPayload(s.walBuf[:0], batch, stamp)
 	rec := store.Record{
 		Kind:    store.RecordBatch,
 		Session: s.id,

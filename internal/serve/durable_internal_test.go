@@ -1,17 +1,19 @@
 package serve
 
 // White-box tests for the durability payload encodings: the WAL record
-// and checkpoint formats must round-trip exactly, and the checkpoint
-// decoder must reject damage instead of guessing.
+// and checkpoint formats must round-trip exactly, and their decoders
+// must reject damage instead of guessing.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -22,48 +24,64 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 		{Op: OpMove, Node: 7, X: 0.1, Y: 0.2},
 		{Op: OpSetRadius, Node: 7, R: 2.75},
 		{Op: OpAnneal, Iters: 500, Seed: -42},
+		{Op: OpAnneal, Iters: 100, Seed: 1<<62 + 1},
 	}
-	got, err := parseBatchPayload(encodeBatch(nil, batch))
-	if err != nil {
-		t.Fatalf("parseBatchPayload: %v", err)
+	stamp := obs.TraceContext{TraceID: 0xfeed, SpanID: 1<<40 + 3, Flags: obs.TraceFlagSampled}
+	for _, tc := range []obs.TraceContext{{}, stamp} {
+		payload := appendBatchPayload(nil, batch, tc)
+		got, gotTC, err := decodeBatchPayload(payload)
+		if err != nil {
+			t.Fatalf("decodeBatchPayload: %v", err)
+		}
+		if !reflect.DeepEqual(got, batch) || gotTC != tc {
+			t.Fatalf("round trip\n got %+v %+v\nwant %+v %+v", got, gotTC, batch, tc)
+		}
+		// The op block is byte-for-byte what a wire mutate frame carries.
+		if !bytes.Equal(payload[traceStampSize:], AppendOps(nil, batch)) {
+			t.Fatal("batch payload op block differs from the wire op encoding")
+		}
 	}
-	if !reflect.DeepEqual(got, batch) {
-		t.Fatalf("round trip\n got %+v\nwant %+v", got, batch)
+	empty := appendBatchPayload(nil, nil, obs.TraceContext{})
+	if muts, _, err := decodeBatchPayload(empty); err != nil || len(muts) != 0 {
+		t.Fatalf("empty batch: %v %v", muts, err)
 	}
-	if muts, err := parseBatchPayload(nil); err != nil || len(muts) != 0 {
-		t.Fatalf("empty payload: %v %v", muts, err)
-	}
-	if _, err := parseBatchPayload([]byte("frobnicate id=1\n")); err == nil {
-		t.Fatal("unknown op accepted")
+	good := appendBatchPayload(nil, batch, stamp)
+	for name, bad := range map[string][]byte{
+		"empty":          nil,
+		"stamp cut":      good[:traceStampSize-1],
+		"ops cut":        good[:len(good)-1],
+		"trailing bytes": append(append([]byte(nil), good...), 0),
+		"text payload":   []byte("m add id=7 x=1.5 y=-2\n"),
+	} {
+		if _, _, err := decodeBatchPayload(bad); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("%s: got %v, want ErrBadEncoding", name, err)
+		}
 	}
 }
 
 func TestCreatePayloadRoundTrip(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1.5, -2.25), geom.Pt(0.3333333333333333, 7)}
-	got, measure, err := parseCreatePayload(createPayload(pts, MeasureGraph))
-	if err != nil {
-		t.Fatalf("parseCreatePayload: %v", err)
+	for _, measure := range []string{MeasureGraph, MeasureSinr} {
+		got, gotMeasure, err := decodeCreatePayload(appendCreatePayload(nil, pts, measure))
+		if err != nil {
+			t.Fatalf("decodeCreatePayload %s: %v", measure, err)
+		}
+		if !reflect.DeepEqual(got, pts) || gotMeasure != measure {
+			t.Fatalf("%s round trip\n got %v %q\nwant %v", measure, got, gotMeasure, pts)
+		}
 	}
-	if !reflect.DeepEqual(got, pts) {
-		t.Fatalf("round trip\n got %v\nwant %v", got, pts)
-	}
-	if measure != MeasureGraph {
-		t.Fatalf("graph payload decoded as measure %q", measure)
-	}
-	// Graph payloads must stay byte-identical to the pre-measure format:
-	// no measure token in the header line.
-	if bytes.Contains(createPayload(pts, MeasureGraph), []byte("measure")) {
-		t.Fatal("graph create payload grew a measure token")
-	}
-	got2, measure2, err := parseCreatePayload(createPayload(pts, MeasureSinr))
-	if err != nil {
-		t.Fatalf("parseCreatePayload sinr: %v", err)
-	}
-	if !reflect.DeepEqual(got2, pts) || measure2 != MeasureSinr {
-		t.Fatalf("sinr round trip: measure %q", measure2)
-	}
-	if _, _, err := parseCreatePayload([]byte("rimd-trace v1 n=0\nm seq=1 remove id=0 n=0 max=0\n")); err == nil {
-		t.Fatal("create payload with mutation lines accepted")
+	good := appendCreatePayload(nil, pts, MeasureSinr)
+	for name, bad := range map[string][]byte{
+		"empty":           nil,
+		"measure cut":     good[:3],
+		"unknown measure": appendCreatePayload(nil, pts, "disk"),
+		"points cut":      good[:len(good)-1],
+		"trailing bytes":  append(append([]byte(nil), good...), 0),
+		"text payload":    []byte("rimd-trace v1 n=0\n"),
+	} {
+		if _, _, err := decodeCreatePayload(bad); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("%s: got %v, want ErrBadEncoding", name, err)
+		}
 	}
 }
 
@@ -76,7 +94,7 @@ func TestReplicatedCreateCarriesMeasure(t *testing.T) {
 	rec := store.Record{
 		Kind:    store.RecordCreate,
 		Session: "r1",
-		Payload: createPayload([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}, MeasureSinr),
+		Payload: appendCreatePayload(nil, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}, MeasureSinr),
 	}
 	if err := m.ApplyRecord(rec); err != nil {
 		t.Fatalf("ApplyRecord: %v", err)

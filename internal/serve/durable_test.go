@@ -6,6 +6,7 @@ package serve_test
 // prefix back.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -595,5 +597,148 @@ func TestCrashRecoveryIntactLog(t *testing.T) {
 		}
 		m.Close(context.Background())
 		st.Close()
+	}
+}
+
+// walRecords reads every record of the WAL under dir.
+func walRecords(t *testing.T, dir string) []store.Record {
+	t.Helper()
+	st := openStore(t, dir, store.SyncNone)
+	defer st.Close()
+	var recs []store.Record
+	if _, err := st.Scan(func(r store.Record) error { recs = append(recs, r); return nil }); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return recs
+}
+
+// TestWALKeepsAnnealSeedExact: an anneal seed above 2^53 must reach a
+// WAL-recovered session and a follower unchanged, so both hold the
+// leader's radii exactly. A float64 round trip of the seed (1<<62+1 →
+// 1<<62) would anneal along a different random stream.
+func TestWALKeepsAnnealSeedExact(t *testing.T) {
+	const seed = int64(1<<62 + 1)
+	// A double exponential chain: unlike a uniform instance, where the
+	// MST start is already the best assignment the walk finds, its
+	// anneal result depends on the random stream.
+	pts := gen.DoubleExpChain(4)
+	dir := t.TempDir()
+	st := openStore(t, dir, store.SyncNone)
+	m := serve.NewManager(serve.Config{Shards: 1, Store: st})
+	s := mustCreate(t, m, "an", pts)
+	mustApply(t, s, serve.AnnealStep(500, seed))
+	flush(t, s)
+	want := snapKey(s.Snapshot())
+	// Simulate a crash: seal the WAL but never checkpoint or drain.
+	if err := st.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
+
+	// The instance must tell the two seeds apart, or the test proves
+	// nothing.
+	ctl := serve.NewManager(serve.Config{Shards: 1})
+	defer ctl.Close(context.Background())
+	c := mustCreate(t, ctl, "an", pts)
+	mustApply(t, c, serve.AnnealStep(500, 1<<62))
+	flush(t, c)
+	if snapKey(c.Snapshot()) == want {
+		t.Fatal("seeds 1<<62 and 1<<62+1 anneal to the same radii; pick another instance")
+	}
+
+	recs := walRecords(t, dir)
+	fol := serve.NewManager(serve.Config{Shards: 1, NoCoalesce: true})
+	defer fol.Close(context.Background())
+	for _, rec := range recs {
+		if err := fol.ApplyRecord(rec); err != nil {
+			t.Fatalf("follower ApplyRecord: %v", err)
+		}
+	}
+	fs, ok := fol.Session("an")
+	if !ok {
+		t.Fatal("follower has no session")
+	}
+	flush(t, fs)
+	if got := snapKey(fs.Snapshot()); got != want {
+		t.Fatalf("follower state\n got %s\nwant %s", got, want)
+	}
+
+	st2 := openStore(t, dir, store.SyncNone)
+	defer st2.Close()
+	m2 := serve.NewManager(serve.Config{Shards: 1, Store: st2})
+	defer m2.Close(context.Background())
+	if _, err := m2.Recover(true); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	rs, _ := m2.Session("an")
+	if got := snapKey(rs.Snapshot()); got != want {
+		t.Fatalf("recovered state\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRecoverOversizedBatchFailsFast: a batch record holding more
+// mutations than the session queue can ever take (written under a
+// larger QueueCap) must fail Recover with BatchTooBigError naming both
+// sizes, instead of spinning on flush-and-retry. (The follower feed
+// loop's side is TestFollowerSurfacesOversizedBatch in internal/repl.)
+func TestRecoverOversizedBatchFailsFast(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, store.SyncNone)
+	m := serve.NewManager(serve.Config{Shards: 1, QueueCap: 64, Store: st})
+	s := mustCreate(t, m, "big", line(16))
+	batch := make([]serve.Mutation, 16)
+	for i := range batch {
+		batch[i] = serve.SetRadius(int64(i), 0.75)
+	}
+	if _, err := s.ApplyBatch(batch); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	flush(t, s)
+	st.Close()
+
+	st2 := openStore(t, dir, store.SyncNone)
+	defer st2.Close()
+	m2 := serve.NewManager(serve.Config{Shards: 1, QueueCap: 8, Store: st2})
+	defer m2.Close(context.Background())
+	done := make(chan error, 1)
+	go func() { _, err := m2.Recover(false); done <- err }()
+	select {
+	case err := <-done:
+		var big *serve.BatchTooBigError
+		if !errors.As(err, &big) || big.Ops != 16 || big.QueueCap != 8 {
+			t.Fatalf("Recover: got %v, want BatchTooBigError{Ops: 16, QueueCap: 8}", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recover still running after 10s on an oversized record")
+	}
+}
+
+// TestRecoverRefusesV1Segment: a data directory written by the v1 (text
+// payload) WAL format is refused with store.ErrVersion, and recovery
+// leaves its bytes untouched.
+func TestRecoverRefusesV1Segment(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("..", "store", "testdata", "wal-v1", "wal", "00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "wal", "00000001.wal")
+	if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir, store.SyncBatch)
+	m := serve.NewManager(serve.Config{Shards: 1, Store: st})
+	if _, err := m.Recover(true); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("Recover: got %v, want store.ErrVersion", err)
+	}
+	if ids := m.SessionIDs(); len(ids) != 0 {
+		t.Fatalf("recovered sessions %v from a refused log", ids)
+	}
+	m.Close(context.Background())
+	st.Close()
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("v1 segment changed: %d bytes (was %d), %v", len(got), len(orig), err)
 	}
 }

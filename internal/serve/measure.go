@@ -16,7 +16,7 @@ import (
 const (
 	// MeasureGraph is the paper's receiver-centric disk measure
 	// (core.Evaluator) — the default, and the implicit measure of every
-	// trace or WAL written before measures existed.
+	// trace or checkpoint written before measures existed.
 	MeasureGraph = "graph"
 	// MeasureSinr is the physical-model measure (phys.Evaluator):
 	// per-receiver SINR power sums under phys.Default.

@@ -49,7 +49,8 @@ type incarnation struct {
 
 // Recover rebuilds the manager's sessions from the store: newest valid
 // checkpoint per session, plus a replay of the WAL tail through the
-// normal batch pipeline. With verify set, every recovered session's
+// follower's apply path (applyReplicated) into the normal batch
+// pipeline. With verify set, every recovered session's
 // interference vector is cross-checked against the naive O(n²) oracle —
 // a recovery that cannot pass the paper's own definition fails loudly
 // instead of serving silently wrong state.
@@ -156,7 +157,7 @@ func (m *Manager) Recover(verify bool) (RecoveryStats, error) {
 			}
 			rs.FromCheckpoint++
 		case inc.created:
-			pts, measure, perr := parseCreatePayload(inc.createPayload)
+			pts, measure, perr := decodeCreatePayload(inc.createPayload)
 			if perr != nil {
 				return rs, fmt.Errorf("serve: recover %q: create record: %w", id, perr)
 			}
@@ -173,41 +174,25 @@ func (m *Manager) Recover(verify bool) (RecoveryStats, error) {
 		}
 
 		// Replay the batch records past the restored position through the
-		// normal pipeline, with WAL logging suppressed (they are already
-		// in the log).
+		// follower's apply path, with WAL logging suppressed (they are
+		// already in the log). The watermark skips what the checkpoint
+		// covers and each record stays one pinned batch; the session is
+		// drained once, at the end.
 		s.setNoLog(true)
 		for _, rec := range inc.batches {
-			if rec.Seq <= s.seqFloor() {
-				continue // covered by the checkpoint
+			n, aerr := s.applyReplicated(rec)
+			if aerr != nil {
+				return rs, fmt.Errorf("serve: recover %q: %w", id, aerr)
 			}
-			muts, perr := parseBatchPayload(rec.Payload)
-			if perr != nil {
-				return rs, fmt.Errorf("serve: recover %q: batch seq=%d: %w", id, rec.Seq, perr)
+			if n > 0 {
+				rs.ReplayedBatches++
+				rs.ReplayedMutations += n
 			}
-			if want := s.seqFloor() + uint64(len(muts)); want != rec.Seq {
-				return rs, fmt.Errorf("serve: recover %q: batch seq=%d does not extend prefix at %d by %d",
-					id, rec.Seq, s.seqFloor(), len(muts))
-			}
-			if _, aerr := s.applyPinned(muts); aerr != nil {
-				return rs, fmt.Errorf("serve: recover %q: replay batch seq=%d: %w", id, rec.Seq, aerr)
-			}
-			if ferr := s.Flush(nil); ferr != nil {
-				return rs, fmt.Errorf("serve: recover %q: %w", id, ferr)
-			}
-			rs.ReplayedBatches++
-			rs.ReplayedMutations += len(muts)
 		}
 		if err := s.Flush(nil); err != nil {
 			return rs, fmt.Errorf("serve: recover %q: %w", id, err)
 		}
 		s.setNoLog(false)
-		// A follower resumes replication right after recovery: the
-		// replicated-record guard must treat everything replayed locally
-		// as already delivered. The session is quiescent post-Flush, so
-		// reading s.seq here is safe.
-		s.mu.Lock()
-		s.replSeq = s.seq
-		s.mu.Unlock()
 		rs.Sessions++
 
 		if verify {
@@ -288,11 +273,6 @@ func (m *Manager) restoreSession(id string, st sessState) (*Session, error) {
 	m.register(id, s)
 	return s, nil
 }
-
-// seqFloor reads the owner-side mutation-log position. Safe during
-// recovery's apply-then-flush loop: the queue is empty whenever it is
-// called, so the owner is quiescent.
-func (s *Session) seqFloor() uint64 { return s.seq }
 
 // setNoLog toggles WAL logging suppression for replay.
 func (s *Session) setNoLog(v bool) {

@@ -29,10 +29,10 @@ import (
 // gap: a protocol violation the caller must treat as fatal for the
 // connection (drop it, resubscribe from the cursor).
 
-// ErrReplGap reports a replicated batch that neither replays a prefix
-// nor extends the session's seq contiguously — the stream skipped
-// records.
-var ErrReplGap = errors.New("serve: replicated batch leaves a seq gap")
+// ErrReplGap reports a batch record that neither replays a prefix nor
+// extends the session's seq contiguously — the replication stream, or
+// the local WAL under recovery, skipped records.
+var ErrReplGap = errors.New("serve: batch record leaves a seq gap")
 
 // ApplyRecord applies one replicated WAL record through the normal
 // pipeline. Idempotent under redelivery; safe only from a single
@@ -40,7 +40,7 @@ var ErrReplGap = errors.New("serve: replicated batch leaves a seq gap")
 func (m *Manager) ApplyRecord(rec store.Record) error {
 	switch rec.Kind {
 	case store.RecordCreate:
-		pts, measure, err := parseCreatePayload(rec.Payload)
+		pts, measure, err := decodeCreatePayload(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("serve: replicated create %q: %w", rec.Session, err)
 		}
@@ -56,7 +56,8 @@ func (m *Manager) ApplyRecord(rec store.Record) error {
 		if !ok {
 			return fmt.Errorf("%w: batch seq=%d for unknown session %q", ErrReplGap, rec.Seq, rec.Session)
 		}
-		return s.applyReplicated(rec)
+		_, err := s.applyReplicated(rec)
+		return err
 	case store.RecordDrop:
 		if err := m.dropSession(rec.Session); err != nil {
 			if errors.Is(err, ErrNoSession) {
@@ -69,31 +70,52 @@ func (m *Manager) ApplyRecord(rec store.Record) error {
 	return fmt.Errorf("serve: replicated record has unknown kind %d", rec.Kind)
 }
 
-// applyReplicated enqueues one replicated batch record, guarding the
-// replicated-seq watermark. Queue-full is absorbed here — the follower
-// has no client to push 429 back to — by flushing and retrying.
-func (s *Session) applyReplicated(rec store.Record) error {
+// BatchTooBigError reports a batch record holding more mutations than
+// the session queue can ever take — written by a leader, or by this
+// node before a restart, running a larger QueueCap. Draining cannot
+// make it fit, so the apply fails with it instead of retrying forever;
+// the follower's feed loop and Recover both return it.
+type BatchTooBigError struct {
+	Session  string
+	Seq      uint64
+	Ops      int // mutations in the record
+	QueueCap int // the session queue's capacity
+}
+
+func (e *BatchTooBigError) Error() string {
+	return fmt.Sprintf("serve: batch %q seq=%d holds %d mutations, more than the queue cap %d",
+		e.Session, e.Seq, e.Ops, e.QueueCap)
+}
+
+// applyReplicated enqueues one batch record — streamed from a leader,
+// or replayed from the local WAL by Recover — as exactly one pinned
+// batch, guarding the replicated-seq watermark, and reports how many
+// mutations it enqueued (0 for a redelivered prefix). Queue-full is
+// absorbed here — neither caller has a client to push 429 back to — by
+// flushing and retrying.
+func (s *Session) applyReplicated(rec store.Record) (int, error) {
 	s.mu.Lock()
 	watermark := s.replSeq
 	s.mu.Unlock()
 	if rec.Seq <= watermark {
-		return nil // redelivered prefix
+		return 0, nil // redelivered prefix
 	}
-	muts, err := parseBatchPayload(rec.Payload)
+	muts, stamp, err := decodeBatchPayload(rec.Payload)
 	if err != nil {
-		return fmt.Errorf("serve: replicated batch %q seq=%d: %w", s.id, rec.Seq, err)
-	}
-	if obs.On() && len(muts) > 0 {
-		// A traced leader batch re-applies as a traced follower batch: the
-		// stamp's span id is the leader's batch span, so the follower's
-		// serve.batch span links straight back to the leader's commit.
-		if tc, ok := ParseBatchTrace(rec.Payload); ok {
-			muts[0].TC = &tc
-		}
+		return 0, fmt.Errorf("serve: batch %q seq=%d: %w", s.id, rec.Seq, err)
 	}
 	if rec.Seq != watermark+uint64(len(muts)) {
-		return fmt.Errorf("%w: session %q batch seq=%d does not extend watermark %d by %d",
+		return 0, fmt.Errorf("%w: session %q batch seq=%d does not extend watermark %d by %d",
 			ErrReplGap, s.id, rec.Seq, watermark, len(muts))
+	}
+	if qc := s.mgr.cfg.QueueCap; len(muts) > qc {
+		return 0, &BatchTooBigError{Session: s.id, Seq: rec.Seq, Ops: len(muts), QueueCap: qc}
+	}
+	if obs.On() && stamp.TraceID != 0 {
+		// A traced leader batch re-applies as a traced batch: the stamp's
+		// span id is the leader's batch span, so the local serve.batch
+		// span links straight back to the leader's commit.
+		muts[0].TC = &stamp
 	}
 	for {
 		// Pinned: one leader batch record must become exactly one local
@@ -106,14 +128,14 @@ func (s *Session) applyReplicated(rec store.Record) error {
 		}
 		if errors.Is(err, ErrQueueFull) {
 			if ferr := s.Flush(nil); ferr != nil {
-				return fmt.Errorf("serve: replicated batch %q seq=%d: drain: %w", s.id, rec.Seq, ferr)
+				return 0, fmt.Errorf("serve: batch %q seq=%d: drain: %w", s.id, rec.Seq, ferr)
 			}
 			continue
 		}
-		return fmt.Errorf("serve: replicated batch %q seq=%d: %w", s.id, rec.Seq, err)
+		return 0, fmt.Errorf("serve: batch %q seq=%d: %w", s.id, rec.Seq, err)
 	}
 	s.mu.Lock()
 	s.replSeq = rec.Seq
 	s.mu.Unlock()
-	return nil
+	return len(muts), nil
 }

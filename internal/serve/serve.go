@@ -277,7 +277,7 @@ func (m *Manager) createSession(id string, pts []geom.Point, measure string) (*S
 	// record lands in the post-rotation segment and survives the prune.
 	m.ckptMu.Lock()
 	if m.walOK() {
-		rec := store.Record{Kind: store.RecordCreate, Session: id, Payload: createPayload(pts, measure)}
+		rec := store.Record{Kind: store.RecordCreate, Session: id, Payload: appendCreatePayload(nil, pts, measure)}
 		if err := m.cfg.Store.Append(rec); err != nil {
 			m.walFail(err)
 		}

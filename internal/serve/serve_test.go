@@ -320,6 +320,10 @@ func TestParseTraceRoundTrip(t *testing.T) {
 		serve.Remove(7), // rejected second time
 		serve.Move(1, 1e-9, 987.654321),
 		serve.AnnealStep(100, 42),
+		// Integers parse as integers: through a float64, seed 1<<62+1
+		// came back as 1<<62 (another random stream), id 1<<53+1 as 1<<53.
+		serve.AnnealStep(100, 1<<62+1),
+		serve.Mutation{Op: serve.OpAdd, Node: 1<<53 + 1, X: 0.5, Y: 0.25},
 	)
 	flush(t, s)
 	text := s.TraceText()
@@ -336,8 +340,8 @@ func TestParseTraceRoundTrip(t *testing.T) {
 			t.Fatalf("point %d: %v != %v (float round-trip broken)", i, gotPts[i], pts[i])
 		}
 	}
-	if len(ops) != 6 {
-		t.Fatalf("parsed %d ops, want 6:\n%s", len(ops), text)
+	if len(ops) != 8 {
+		t.Fatalf("parsed %d ops, want 8:\n%s", len(ops), text)
 	}
 	if ops[0].Op != serve.OpAdd || ops[0].Node != 16 {
 		t.Fatalf("add parsed as %+v", ops[0])
@@ -345,17 +349,20 @@ func TestParseTraceRoundTrip(t *testing.T) {
 	if ops[5].Op != serve.OpAnneal || ops[5].Iters != 100 || ops[5].Seed != 42 {
 		t.Fatalf("anneal parsed as %+v", ops[5])
 	}
+	if ops[6].Seed != 1<<62+1 || ops[7].Node != 1<<53+1 {
+		t.Fatalf("large integers parsed as seed %d, id %d", ops[6].Seed, ops[7].Node)
+	}
 	if !strings.Contains(text, "reject remove id=7") {
 		t.Fatalf("rejected op not recorded:\n%s", text)
 	}
-	// One Apply call enqueues atomically, so the six ops drained as one
+	// One Apply call enqueues atomically, so the eight ops drained as one
 	// pipeline batch — and the recorded boundary recovers it.
 	_, batches, err := serve.ParseTraceBatches(text)
 	if err != nil {
 		t.Fatalf("ParseTraceBatches: %v", err)
 	}
-	if len(batches) != 1 || len(batches[0]) != 6 {
-		t.Fatalf("recovered %d batches (first %d ops), want 1 batch of 6:\n%s", len(batches), len(batches[0]), text)
+	if len(batches) != 1 || len(batches[0]) != 8 {
+		t.Fatalf("recovered %d batches (first %d ops), want 1 batch of 8:\n%s", len(batches), len(batches[0]), text)
 	}
 }
 

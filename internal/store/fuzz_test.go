@@ -2,11 +2,30 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 )
+
+// The seeds carry payloads in the serving layer's v2 encoding, spelled
+// out by hand: store cannot import serve, and to it a payload is opaque
+// bytes. v2Create is a create payload: measure "graph", zero points.
+var v2Create = []byte("\x05graph\x00\x00\x00\x00")
+
+// v2Batch is an untraced batch payload holding one add of node 7 at
+// (1.5, -2): a zero trace stamp, the op count, and one op record.
+func v2Batch() []byte {
+	p := make([]byte, 17) // trace id, batch span, flags
+	p = binary.LittleEndian.AppendUint32(p, 1)
+	p = append(p, 1) // serve.OpAdd
+	p = binary.LittleEndian.AppendUint64(p, 7)
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1.5))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(-2))
+	return binary.LittleEndian.AppendUint64(p, 0)
+}
 
 // FuzzWALDecode throws arbitrary bytes at the record reader and checks
 // the decode invariants that recovery leans on:
@@ -20,8 +39,8 @@ import (
 func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(segmentHeader))
-	f.Add(appendRecord(nil, Record{Kind: RecordCreate, Session: "s", Seq: 0, Payload: []byte("rimd-trace v1 n=0\n")}))
-	f.Add(appendRecord(nil, Record{Kind: RecordBatch, Session: "alpha", Seq: 42, Payload: []byte("m add id=7 x=1.5 y=-2\n")}))
+	f.Add(appendRecord(nil, Record{Kind: RecordCreate, Session: "s", Seq: 0, Payload: v2Create}))
+	f.Add(appendRecord(nil, Record{Kind: RecordBatch, Session: "alpha", Seq: 42, Payload: v2Batch()}))
 	f.Add(appendRecord(nil, Record{Kind: RecordDrop, Session: "alpha", Seq: 42}))
 	// Two records back to back.
 	f.Add(appendRecord(appendRecord(nil, Record{Kind: RecordBatch, Session: "a", Seq: 1, Payload: []byte("x")}),

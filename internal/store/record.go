@@ -10,7 +10,7 @@ import (
 
 // WAL record framing. A segment file is the header line
 //
-//	rimwal v1\n
+//	rimwal v2\n
 //
 // followed by length-prefixed, CRC-guarded records:
 //
@@ -20,11 +20,18 @@ import (
 //
 //	[1 byte kind][uint64 LE seq][uvarint session length][session][payload]
 //
-// The payload is opaque to the store — the serving layer encodes mutation
-// batches there in the rimd-trace v1 record syntax. The seq is the
-// session's mutation-log position after the record applies, which is what
-// lets recovery skip records already covered by a checkpoint without
-// parsing payloads.
+// The payload is opaque to the store — the serving layer writes its
+// binary mutation codec there (a trace stamp plus an op block per batch,
+// a measure plus a point block per create). The seq is the session's
+// mutation-log position after the record applies, which is what lets
+// recovery skip records already covered by a checkpoint without parsing
+// payloads.
+//
+// The header's version names the payload format. v1 segments carried
+// text payloads; a segment whose header is a complete header of any
+// other version is refused with ErrVersion and left untouched, and only
+// a strict prefix of the current header — a crash during segment
+// creation — is healed.
 
 // RecordKind labels what a WAL record means to recovery.
 type RecordKind uint8
@@ -62,13 +69,16 @@ type Record struct {
 // Decode/scan errors. ErrTruncated is the *clean* failure — a crash cut
 // the final record short, and recovery heals by truncating to the last
 // valid frame. ErrCorrupt is data damage recovery must not paper over.
+// ErrVersion reports a segment written in another format version.
 var (
 	ErrTruncated = errors.New("store: wal truncated mid-record")
 	ErrCorrupt   = errors.New("store: wal corrupt")
+	ErrVersion   = errors.New("store: wal segment version not supported")
 )
 
 const (
-	segmentHeader = "rimwal v1\n"
+	segmentMagic  = "rimwal v"
+	segmentHeader = segmentMagic + "2\n"
 	frameHead     = 8        // length + crc words
 	maxRecordSize = 64 << 20 // sanity bound; a larger length word is corruption
 )

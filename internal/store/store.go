@@ -14,9 +14,9 @@
 // the two against each other.
 //
 // Payloads are opaque here. internal/serve encodes mutation batches in
-// its rimd-trace v1 record syntax and maintainer state in its
-// checkpoint syntax; the store frames, checksums, fsyncs, rotates,
-// scans, and heals.
+// its binary mutation codec and maintainer state in its checkpoint
+// syntax; the store frames, checksums, fsyncs, rotates, scans, and
+// heals.
 //
 // # Fsync discipline
 //

@@ -447,12 +447,18 @@ func (w *wal) scanSegment(index uint64, last bool, fn func(Record) error) (TailI
 
 	info := TailInfo{Segment: index}
 	head := make([]byte, len(segmentHeader))
-	if _, err := io.ReadFull(r, head); err != nil || string(head) != segmentHeader {
-		if last {
-			// Crash during segment creation: nothing valid in this file.
-			info.Truncated, info.ValidSize, info.Dropped = true, 0, fileSize
-			return info, nil
-		}
+	n, _ := io.ReadFull(r, head)
+	switch {
+	case n == len(segmentHeader) && string(head) == segmentHeader:
+	case n == len(segmentHeader) && strings.HasPrefix(string(head), segmentMagic):
+		// A whole header of another format version: refuse it, and never
+		// let start heal it — the file holds a real log.
+		return info, fmt.Errorf("%w: %s has header %q, want %q", ErrVersion, path, head, segmentHeader)
+	case last && n < len(segmentHeader) && string(head[:n]) == segmentHeader[:n]:
+		// Crash during segment creation: nothing valid in this file.
+		info.Truncated, info.ValidSize, info.Dropped = true, 0, fileSize
+		return info, nil
+	default:
 		return info, fmt.Errorf("%w: segment %08d has bad header", ErrCorrupt, index)
 	}
 	valid := int64(len(segmentHeader))

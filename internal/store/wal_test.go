@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -207,7 +208,9 @@ func TestParseSyncPolicy(t *testing.T) {
 // kill-at-every-offset property: build a WAL, then for every byte offset
 // k of the segment file, truncate a copy to k bytes and require the scan
 // to recover exactly the records whose frames fit entirely within k —
-// a strict prefix, never a partial or corrupted record.
+// a strict prefix, never a partial or corrupted record. Cuts inside the
+// segment header (a crash during segment creation) heal to an empty
+// segment.
 func TestWALTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, testOpts(t, dir, nil))
@@ -442,5 +445,53 @@ func TestRecordEncodeDecode(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: got %+v want %+v", got, want)
+	}
+}
+
+// v1Segment is a one-segment data directory written by the v1 (text
+// payload) format: a create record, three batches, and one traced batch.
+const v1Segment = "testdata/wal-v1/wal/00000001.wal"
+
+// TestWALRefusesForeignHeader pins the version bump. A last segment
+// whose header is a whole header of another version is refused with
+// ErrVersion naming the segment; one cut short but not a prefix of the
+// current header is ErrCorrupt. Scan and the first Append both refuse,
+// and the file's bytes are never touched — before the bump, any bad
+// header on the last segment read as a crash during segment creation
+// and was truncated to nothing. (A strict prefix of the current header
+// still heals: TestWALTornTailEveryOffset cuts inside the header too.)
+func TestWALRefusesForeignHeader(t *testing.T) {
+	v1, err := os.ReadFile(v1Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"v1 segment", v1, ErrVersion},
+		{"cut v1 header", v1[:len(segmentHeader)-1], ErrCorrupt},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal", "00000001.wal")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := mustOpen(t, testOpts(t, dir, nil))
+		_, err = s.Scan(func(Record) error { return nil })
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "00000001") {
+			t.Fatalf("%s: Scan got %v, want %v naming the segment", tc.name, err, tc.want)
+		}
+		if err := s.Append(rec(RecordDrop, "v1", 7, "")); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Append got %v, want %v", tc.name, err, tc.want)
+		}
+		s.Close()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, tc.data) {
+			t.Fatalf("%s: segment changed: %d bytes (was %d), %v", tc.name, len(got), len(tc.data), err)
+		}
 	}
 }

@@ -412,7 +412,7 @@ func (c *Client) GoCreate(session string, pts []geom.Point) *Pending {
 	p := c.pending()
 	p.begin()
 	p.req = AppendString(p.req, session)
-	p.req = AppendPoints(p.req, pts)
+	p.req = serve.AppendPoints(p.req, pts)
 	p.seal(MsgCreate)
 	return p
 }
@@ -451,7 +451,7 @@ func (c *Client) GoMutate(session string, ops []serve.Mutation) *Pending {
 	p := c.pending()
 	p.begin()
 	p.req = AppendString(p.req, session)
-	p.req = AppendOps(p.req, ops)
+	p.req = serve.AppendOps(p.req, ops)
 	p.seal(MsgMutate)
 	return p
 }
@@ -464,9 +464,9 @@ func (c *Client) GoMutateTraced(session string, ops []serve.Mutation, tc obs.Tra
 	p := c.pending()
 	p.begin()
 	p.req = AppendString(p.req, session)
-	p.req = AppendOps(p.req, ops)
+	p.req = serve.AppendOps(p.req, ops)
 	if p.cc.trace && tc.Valid() {
-		p.req = AppendTraceContext(p.req, tc)
+		p.req = serve.AppendTraceStamp(p.req, tc)
 		p.flags |= FlagTrace
 	}
 	p.seal(MsgMutate)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/geom"
 	"repro/internal/serve"
 )
 
@@ -209,85 +208,6 @@ func ReadString(p []byte) (s, rest []byte, err error) {
 	return p[2 : 2+n], p[2+n:], nil
 }
 
-// Mutation ops: fixed 33-byte records, one per serve.Mutation —
-//
-//	offset 0   uint8  op (the serve.Op value)
-//	offset 1   int64  node id
-//	offset 9   uint64 a
-//	offset 17  uint64 b
-//	offset 25  uint64 c
-//
-// with a/b/c carrying the op-specific fields as raw little-endian
-// words: add/move store x/y float bits in a/b; set_radius stores r bits
-// in a; anneal stores iters in a and seed in b. Unused words are zero.
-
-// OpRecordSize is the fixed on-wire size of one mutation op.
-const OpRecordSize = 33
-
-// AppendOps appends the op-count word and the fixed records for ops.
-func AppendOps(dst []byte, ops []serve.Mutation) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
-	for i := range ops {
-		mu := &ops[i]
-		var a, b, c uint64
-		switch mu.Op {
-		case serve.OpAdd, serve.OpMove:
-			a, b = math.Float64bits(mu.X), math.Float64bits(mu.Y)
-		case serve.OpSetRadius:
-			a = math.Float64bits(mu.R)
-		case serve.OpAnneal:
-			a, b = uint64(mu.Iters), uint64(mu.Seed)
-		}
-		dst = append(dst, byte(mu.Op))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(mu.Node))
-		dst = binary.LittleEndian.AppendUint64(dst, a)
-		dst = binary.LittleEndian.AppendUint64(dst, b)
-		dst = binary.LittleEndian.AppendUint64(dst, c)
-	}
-	return dst
-}
-
-// DecodeOps parses an op block into the caller's slice (appended to, so
-// pass into[:0] to reuse). The count word is cross-checked against the
-// actual byte length before any slice growth.
-func DecodeOps(p []byte, into []serve.Mutation) ([]serve.Mutation, []byte, error) {
-	if len(p) < 4 {
-		return into, nil, fmt.Errorf("%w: op count cut short", ErrBadPayload)
-	}
-	count := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if count < 0 || len(p) < count*OpRecordSize {
-		return into, nil, fmt.Errorf("%w: %d ops but %d payload bytes", ErrBadPayload, count, len(p))
-	}
-	for i := 0; i < count; i++ {
-		rec := p[i*OpRecordSize : (i+1)*OpRecordSize]
-		op := serve.Op(rec[0])
-		if op < serve.OpAdd || op > serve.OpAnneal {
-			return into, nil, fmt.Errorf("%w: unknown op %d", ErrBadPayload, rec[0])
-		}
-		mu := serve.Mutation{
-			Op:   op,
-			Node: int64(binary.LittleEndian.Uint64(rec[1:9])),
-		}
-		a := binary.LittleEndian.Uint64(rec[9:17])
-		b := binary.LittleEndian.Uint64(rec[17:25])
-		switch op {
-		case serve.OpAdd, serve.OpMove:
-			mu.X, mu.Y = math.Float64frombits(a), math.Float64frombits(b)
-		case serve.OpSetRadius:
-			mu.R = math.Float64frombits(a)
-		case serve.OpAnneal:
-			if a > math.MaxInt32 {
-				return into, nil, fmt.Errorf("%w: anneal iters %d out of range", ErrBadPayload, a)
-			}
-			mu.Iters = int(a)
-			mu.Seed = int64(b)
-		}
-		into = append(into, mu)
-	}
-	return into, p[count*OpRecordSize:], nil
-}
-
 // AppendIDs appends a MsgMutateOK payload: the ids assigned to OpAdd
 // mutations, in order.
 func AppendIDs(dst []byte, ids []int64) []byte {
@@ -312,39 +232,6 @@ func DecodeIDs(p []byte, into []int64) ([]int64, error) {
 		into = append(into, int64(binary.LittleEndian.Uint64(p[i*8:])))
 	}
 	return into, nil
-}
-
-// Points: uint32 count + 16 bytes (x, y float bits) each, the MsgCreate
-// instance payload after the session id.
-
-// AppendPoints appends a point block.
-func AppendPoints(dst []byte, pts []geom.Point) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pts)))
-	for _, p := range pts {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.X))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Y))
-	}
-	return dst
-}
-
-// DecodePoints parses a point block into the caller's slice.
-func DecodePoints(p []byte, into []geom.Point) ([]geom.Point, []byte, error) {
-	if len(p) < 4 {
-		return into, nil, fmt.Errorf("%w: point count cut short", ErrBadPayload)
-	}
-	count := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if count < 0 || len(p) < count*16 {
-		return into, nil, fmt.Errorf("%w: %d points but %d payload bytes", ErrBadPayload, count, len(p))
-	}
-	for i := 0; i < count; i++ {
-		rec := p[i*16 : i*16+16]
-		into = append(into, geom.Pt(
-			math.Float64frombits(binary.LittleEndian.Uint64(rec[0:8])),
-			math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16])),
-		))
-	}
-	return into, p[count*16:], nil
 }
 
 // GenSpec is the MsgCreateGen payload after the session id: generate a

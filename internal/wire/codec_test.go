@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -119,61 +118,14 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpsRoundTrip(t *testing.T) {
-	ops := []serve.Mutation{
-		serve.Add(1.5, -2.5),
-		serve.Remove(42),
-		serve.Move(7, 0.25, 0.75),
-		serve.SetRadius(3, 1.125),
-		serve.AnnealStep(500, -12345),
-	}
-	p := AppendOps(nil, ops)
-	if want := 4 + len(ops)*OpRecordSize; len(p) != want {
-		t.Fatalf("encoded %d bytes, want %d", len(p), want)
-	}
-	got, rest, err := DecodeOps(p, nil)
-	if err != nil {
-		t.Fatalf("DecodeOps: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("trailing bytes: %d", len(rest))
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Errorf("op %d: got %+v want %+v", i, got[i], ops[i])
-		}
-	}
-}
-
-func TestOpsAdversarial(t *testing.T) {
-	// Count word larger than the actual byte run must be rejected before
-	// any slice growth.
-	p := binary.LittleEndian.AppendUint32(nil, 1<<30)
-	if _, _, err := DecodeOps(p, nil); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("oversized count: %v", err)
-	}
-	// Unknown op byte.
-	bad := AppendOps(nil, []serve.Mutation{serve.Remove(1)})
-	bad[4] = 200
-	if _, _, err := DecodeOps(bad, nil); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("unknown op: %v", err)
-	}
-	// Anneal iteration counts beyond int32 are rejected (they would wrap
-	// through int on 32-bit builds and bypass MaxAnnealIters).
-	huge := AppendOps(nil, []serve.Mutation{serve.AnnealStep(1, 0)})
-	binary.LittleEndian.PutUint64(huge[4+9:], uint64(math.MaxInt64))
-	if _, _, err := DecodeOps(huge, nil); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("huge anneal iters: %v", err)
-	}
-}
-
 func TestPointsIDsGenSpecRoundTrip(t *testing.T) {
+	// A MsgCreate payload: the session id, then serve's point block.
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1.5, -0.5), geom.Pt(math.Pi, math.E)}
-	p := AppendPoints(nil, pts)
-	got, rest, err := DecodePoints(p, nil)
+	sid, p, err := ReadString(serve.AppendPoints(AppendString(nil, "s"), pts))
+	if err != nil || string(sid) != "s" {
+		t.Fatalf("ReadString: %q %v", sid, err)
+	}
+	got, rest, err := serve.DecodePoints(p, nil)
 	if err != nil || len(rest) != 0 || len(got) != len(pts) {
 		t.Fatalf("DecodePoints: %v %v %v", got, rest, err)
 	}
@@ -299,7 +251,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 		start := 0
 		buf = BeginFrame(buf[:0], MsgMutate, 0, 42)
 		buf = AppendString(buf, "bench")
-		buf = AppendOps(buf, ops)
+		buf = serve.AppendOps(buf, ops)
 		buf = EndFrame(buf, start, false)
 	}
 	encode()
@@ -321,7 +273,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 		if err != nil {
 			panic("decode: bad session id")
 		}
-		muts, _, err = DecodeOps(rest, muts[:0])
+		muts, _, err = serve.DecodeOps(rest, muts[:0])
 		if err != nil || len(muts) != 3 {
 			panic("decode: bad ops")
 		}

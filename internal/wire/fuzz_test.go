@@ -23,13 +23,13 @@ func FuzzWireDecode(f *testing.F) {
 	// without CRC trailers, plus classic adversarial prefixes.
 	var ops []byte
 	ops = AppendString(ops, "fuzz")
-	ops = AppendOps(ops, []serve.Mutation{
+	ops = serve.AppendOps(ops, []serve.Mutation{
 		serve.Add(1, 2), serve.Remove(3), serve.Move(4, 5, 6),
 		serve.SetRadius(7, 8), serve.AnnealStep(9, 10),
 	})
 	var create []byte
 	create = AppendString(create, "fuzz")
-	create = AppendPoints(create, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)})
+	create = serve.AppendPoints(create, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)})
 	var gen []byte
 	gen = AppendString(gen, "fuzz")
 	gen = AppendGenSpec(gen, GenSpec{N: 16, Seed: 1, Side: 2})
@@ -88,8 +88,8 @@ func FuzzWireDecode(f *testing.F) {
 			CheckHello(p)
 			if s, rest, err := ReadString(p); err == nil {
 				_ = s
-				muts, _, _ = DecodeOps(rest, muts[:0])
-				pts, _, _ = DecodePoints(rest, pts[:0])
+				muts, _, _ = serve.DecodeOps(rest, muts[:0])
+				pts, _, _ = serve.DecodePoints(rest, pts[:0])
 				DecodeGenSpec(rest)
 			}
 			ids, _ = DecodeIDs(p, ids[:0])

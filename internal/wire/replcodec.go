@@ -21,7 +21,7 @@ import (
 //
 // Every count and length word is validated against the remaining
 // payload bytes before any allocation grows — the same length-bomb
-// discipline as DecodeOps, exercised adversarially by FuzzReplDecode.
+// discipline as serve.DecodeOps, exercised adversarially by FuzzReplDecode.
 
 const replCursorSize = 16
 

@@ -282,7 +282,7 @@ func (c *conn) dispatch(h Header, p []byte) {
 			c.flushMutations() // session switch: keep batches single-session
 		}
 		before := len(c.muts)
-		muts, tail, err := DecodeOps(rest, c.muts)
+		muts, tail, err := serve.DecodeOps(rest, c.muts)
 		if err != nil {
 			c.flushMutations()
 			c.writeErr(h.ID, StatusBad, err.Error())
@@ -290,7 +290,7 @@ func (c *conn) dispatch(h Header, p []byte) {
 		}
 		c.muts = muts
 		if h.Flags&FlagTrace != 0 && c.trace {
-			tc, _, terr := DecodeTraceContext(tail)
+			tc, _, terr := serve.DecodeTraceStamp(tail)
 			if terr != nil {
 				c.muts = c.muts[:before]
 				c.flushMutations()
@@ -394,7 +394,7 @@ func (c *conn) dispatch(h Header, p []byte) {
 			c.writeErr(h.ID, StatusBad, err.Error())
 			return
 		}
-		pts, _, err := DecodePoints(rest, c.pts[:0])
+		pts, _, err := serve.DecodePoints(rest, c.pts[:0])
 		c.pts = pts
 		if err != nil {
 			c.writeErr(h.ID, StatusBad, err.Error())

@@ -19,7 +19,8 @@
 // The header is fixed-width on purpose — no varints on the hot path, so
 // encode is straight stores and decode is straight loads. Strings
 // (session IDs, error text) appear only inside payloads, length-prefixed
-// with uint16. Mutation ops are fixed 33-byte records (see AppendOps).
+// with uint16. Mutation ops and points use serve's binary codec (see
+// serve.AppendOps), the same bytes the WAL and replication carry.
 // The length word is validated against MaxFrame before any allocation,
 // so an adversarial length prefix cannot balloon memory — the same
 // guard discipline as serve's MaxCoord and the store's maxRecordSize.
@@ -82,9 +83,9 @@ const (
 	// the server echoes it on MsgHelloOK when it can (capability bits
 	// live in the header because CheckHello pins the hello payload to an
 	// exact length). On a MsgMutate header it marks a 17-byte trace
-	// block (u64 trace id, u64 parent span id, u8 flags) appended after
-	// the op records — DecodeOps already tolerates trailing bytes, so an
-	// untraced peer skips it harmlessly. On a MsgEvent header it marks
+	// stamp (serve.AppendTraceStamp: u64 trace id, u64 parent span id,
+	// u8 flags) appended after the op records — serve.DecodeOps
+	// tolerates trailing bytes, so an untraced peer skips it harmlessly. On a MsgEvent header it marks
 	// the extended 46-byte event record whose tail carries the trace id.
 	// Absent everywhere, nothing is encoded and nothing is paid: the
 	// zero-cost-when-off contract is pinned by
