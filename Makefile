@@ -23,7 +23,8 @@ check: vet
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run 'Oracle|Law|Replay|BruteForce|Golden|Fuzz' -count=1 \
 		./internal/oracle/ ./internal/core/ ./internal/opt/ ./internal/topology/ \
-		./internal/highway/ ./internal/dynamic/ ./internal/sim/ ./cmd/paperrepro/
+		./internal/highway/ ./internal/dynamic/ ./internal/sim/ ./cmd/paperrepro/ \
+		./internal/serve/ ./internal/repl/
 
 # Regenerate every table/figure as benchmarks (the numbers EXPERIMENTS.md
 # records).

@@ -21,6 +21,9 @@
 //	ifctl phys     -family gadget -n 12 -iters 6000
 //	    anneal under the graph and the physical (SINR) measure, score
 //	    both optima under both measures
+//	ifctl log-dump -data /var/lib/rimd
+//	    print a rimd data directory's write-ahead log (one line per
+//	    record, each batch's ops beneath it) and checkpoints, read-only
 //
 // Families: uniform, clustered, highway, expchain, gadget (T4.1),
 // figure1.
@@ -43,7 +46,9 @@ import (
 	"repro/internal/opt"
 	"repro/internal/phys"
 	"repro/internal/report"
+	"repro/internal/serve"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/tablefmt"
 	"repro/internal/topology"
 	"repro/internal/udg"
@@ -61,6 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cmd := args[0]
+	if cmd == "log-dump" {
+		return logDump(args[1:], stdout, stderr)
+	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	family := fs.String("family", "uniform", "instance family: uniform|clustered|highway|expchain|gadget|figure1")
@@ -125,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: ifctl <compare|measure|optimal|profile|stats|dump|svg|phys> [flags]
+	fmt.Fprintln(w, `usage: ifctl <compare|measure|optimal|profile|stats|dump|svg|phys|log-dump> [flags]
   compare  run the full topology-control zoo and tabulate interference
   measure  per-node interference report for one algorithm (-alg)
   optimal  exact minimum-interference topology (small instances)
@@ -134,7 +142,35 @@ func usage(w io.Writer) {
   dump     emit the generated instance as CSV
   svg      render the instance + topology (-alg) with interference disks
   phys     anneal under graph and physical (SINR) measures, score both ways
+  log-dump print a rimd data directory's WAL and checkpoints (-data DIR)
 run "ifctl compare -h" for flags`)
+}
+
+// logDump prints the mutation record of a rimd data directory
+// (serve.DumpLog). The directory is opened read-only: one without a
+// wal/ subdirectory is refused, and nothing in it is written or healed.
+func logDump(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("log-dump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	data := fs.String("data", "", "rimd data directory (its -data-dir)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *data == "" || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "ifctl: log-dump needs -data DIR and no arguments")
+		return 2
+	}
+	st, err := store.OpenReadOnly(*data)
+	if err != nil {
+		fmt.Fprintln(stderr, "ifctl:", err)
+		return 1
+	}
+	defer st.Close()
+	if err := serve.DumpLog(stdout, st); err != nil {
+		fmt.Fprintln(stderr, "ifctl:", err)
+		return 1
+	}
+	return 0
 }
 
 func makeInstance(family string, n int, side float64, seed int64) ([]geom.Point, error) {

@@ -3,7 +3,7 @@
 // session pipeline.
 //
 //	rimd -addr 127.0.0.1:8086
-//	rimd -addr 127.0.0.1:0 -deterministic        # random port, traced sessions
+//	rimd -addr 127.0.0.1:0                       # random port
 //	rimd -data-dir /var/lib/rimd                 # durable sessions (WAL + checkpoints)
 //	rimd -wire-addr 127.0.0.1:8087               # rimwire binary front door alongside HTTP
 //
@@ -24,7 +24,9 @@
 // boot the daemon recovers every session from the newest checkpoint plus
 // WAL replay, cross-checked against the naive oracle, and logs a recovery
 // manifest. -fsync picks the durability/latency trade
-// (always|batch|none). See DESIGN.md's Durability section.
+// (always|batch|none). The WAL is the record of every session's
+// mutations: `ifctl log-dump -data DIR` prints it, and replaying it
+// reproduces each session exactly. See DESIGN.md's Durability section.
 package main
 
 import (
@@ -58,30 +60,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rimd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr          = fs.String("addr", "127.0.0.1:8086", "listen address (port 0 picks a free port)")
-		wireAddr      = fs.String("wire-addr", "", "rimwire binary-protocol listen address (empty = disabled)")
-		shards        = fs.Int("shards", 0, "worker goroutines (0 = min(GOMAXPROCS, 8))")
-		queueCap      = fs.Int("queue-cap", 1024, "per-session mutation queue bound")
-		batchCap      = fs.Int("batch-cap", 256, "max mutations applied per batch")
-		deterministic = fs.Bool("deterministic", false, "record replayable per-session mutation traces")
-		traceCap      = fs.Int("trace-cap", 1<<20, "retained trace lines per session (ring buffer; 0 = unlimited)")
-		rebuild       = fs.Float64("rebuild-factor", 0, "maintainer drift-rebuild factor (0 = default)")
-		measure       = fs.String("measure", "graph", "default interference measure for new sessions: graph (receiver-centric disks) or sinr (physical model)")
-		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "max time to drain queues on shutdown")
-		obsOn         = fs.Bool("obs", true, "enable the observability layer (spans feed /debug/obs/*)")
-		spanSample    = fs.Int("span-sample", 16, "record every nth root span")
-		traceTail     = fs.Duration("trace-tail", 0, "tail-sampling threshold: keep full span trees only for traced batches at least this slow, or failed (0 = keep every traced batch)")
-		dataDir       = fs.String("data-dir", "", "durability directory (empty = in-memory only)")
-		fsyncMode     = fs.String("fsync", "batch", "WAL fsync policy: always, batch, or none")
-		ckptEvery     = fs.Duration("checkpoint-every", 5*time.Minute, "checkpoint-barrier interval (0 disables the ticker)")
-		segBytes      = fs.Int64("segment-bytes", 0, "WAL segment rotation size (0 = 64 MiB)")
-		nodeID        = fs.String("node-id", "rimd", "this node's name in the replication ring")
-		replAddr      = fs.String("repl-addr", "", "replication feed listen address (leader mode, or armed for promotion; requires -data-dir)")
-		replFollow    = fs.String("repl-follow", "", "leader feed address to follow (read-only follower mode; requires -data-dir)")
-		replLeaderID  = fs.String("repl-leader-id", "", "the leader's node ID (followers use it for ring successor math)")
-		replPeers     = fs.String("repl-peers", "", "comma-separated ring membership, leader included (e.g. n1,n2,n3)")
-		replEpoch     = fs.Uint64("repl-epoch", 1, "leader term: the epoch a leader serves at, and the one a follower pins its subscribe to (a promoted follower serves at observed epoch + 1)")
-		replAutoProm  = fs.Duration("repl-auto-promote", 0, "promote automatically after the leader is unreachable this long (0 = manual POST /repl/promote)")
+		addr         = fs.String("addr", "127.0.0.1:8086", "listen address (port 0 picks a free port)")
+		wireAddr     = fs.String("wire-addr", "", "rimwire binary-protocol listen address (empty = disabled)")
+		shards       = fs.Int("shards", 0, "worker goroutines (0 = min(GOMAXPROCS, 8))")
+		queueCap     = fs.Int("queue-cap", 1024, "per-session mutation queue bound")
+		batchCap     = fs.Int("batch-cap", 256, "max mutations applied per batch")
+		rebuild      = fs.Float64("rebuild-factor", 0, "maintainer drift-rebuild factor (0 = default)")
+		measure      = fs.String("measure", "graph", "default interference measure for new sessions: graph (receiver-centric disks) or sinr (physical model)")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max time to drain queues on shutdown")
+		obsOn        = fs.Bool("obs", true, "enable the observability layer (spans feed /debug/obs/*)")
+		spanSample   = fs.Int("span-sample", 16, "record every nth root span")
+		traceTail    = fs.Duration("trace-tail", 0, "tail-sampling threshold: keep full span trees only for traced batches at least this slow, or failed (0 = keep every traced batch)")
+		dataDir      = fs.String("data-dir", "", "durability directory (empty = in-memory only)")
+		fsyncMode    = fs.String("fsync", "batch", "WAL fsync policy: always, batch, or none")
+		ckptEvery    = fs.Duration("checkpoint-every", 5*time.Minute, "checkpoint-barrier interval (0 disables the ticker)")
+		segBytes     = fs.Int64("segment-bytes", 0, "WAL segment rotation size (0 = 64 MiB)")
+		nodeID       = fs.String("node-id", "rimd", "this node's name in the replication ring")
+		replAddr     = fs.String("repl-addr", "", "replication feed listen address (leader mode, or armed for promotion; requires -data-dir)")
+		replFollow   = fs.String("repl-follow", "", "leader feed address to follow (read-only follower mode; requires -data-dir)")
+		replLeaderID = fs.String("repl-leader-id", "", "the leader's node ID (followers use it for ring successor math)")
+		replPeers    = fs.String("repl-peers", "", "comma-separated ring membership, leader included (e.g. n1,n2,n3)")
+		replEpoch    = fs.Uint64("repl-epoch", 1, "leader term: the epoch a leader serves at, and the one a follower pins its subscribe to (a promoted follower serves at observed epoch + 1)")
+		replAutoProm = fs.Duration("repl-auto-promote", 0, "promote automatically after the leader is unreachable this long (0 = manual POST /repl/promote)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -128,16 +128,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Shards:         *shards,
 		QueueCap:       *queueCap,
 		BatchCap:       *batchCap,
-		Deterministic:  *deterministic,
-		TraceCap:       *traceCap,
 		RebuildFactor:  *rebuild,
 		Store:          st,
 		DefaultMeasure: *measure,
-		// A follower must apply the leader's post-coalesce records verbatim:
-		// re-coalescing across record boundaries would drop mutations and
-		// diverge the seq space (repl.NewFollower refuses a coalescing
-		// manager).
-		NoCoalesce: *replFollow != "",
 	}
 	if hub != nil {
 		scfg.AfterBatchDelta = hub.AfterBatchDelta

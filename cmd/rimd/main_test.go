@@ -71,7 +71,7 @@ func TestServeSmoke(t *testing.T) {
 	var errOut bytes.Buffer
 	codec := make(chan int, 1)
 	go func() {
-		codec <- run([]string{"-addr", "127.0.0.1:0", "-deterministic"}, stdout, &errOut)
+		codec <- run([]string{"-addr", "127.0.0.1:0"}, stdout, &errOut)
 	}()
 
 	// The daemon prints its actual address; wait for it.
@@ -166,11 +166,6 @@ func TestServeSmoke(t *testing.T) {
 	get("/debug/obs/spans", 200)
 	if tr := get("/debug/obs/trace", 200); !bytes.Contains(tr, []byte("traceEvents")) {
 		t.Errorf("/debug/obs/trace not chrome-trace JSON: %.80s", tr)
-	}
-
-	trace := string(get("/v1/sessions/smoke/trace", 200))
-	if !strings.HasPrefix(trace, "rimd-trace v1 n=64\n") || !strings.Contains(trace, "anneal iters=200 seed=1") {
-		t.Fatalf("trace malformed:\n%.200s", trace)
 	}
 
 	// Graceful drain: SIGTERM (delivered to the whole test process; the

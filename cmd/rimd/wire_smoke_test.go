@@ -51,7 +51,7 @@ func TestWireSmoke(t *testing.T) {
 	}
 	var pend []*wire.Pending
 	for i := 0; i < 32; i++ {
-		ops := []serve.Mutation{serve.SetRadius(int64(i % 8), 0.25+float64(i)/100)}
+		ops := []serve.Mutation{serve.SetRadius(int64(i%8), 0.25+float64(i)/100)}
 		if i%8 == 0 {
 			ops = append(ops, serve.Add(float64(i)/10, 0.5))
 		}

@@ -254,7 +254,7 @@ func drive(c *wire.Client, session string, p profile, seed int64, traced bool) r
 			is.p = c.GoSummary(session)
 		} else {
 			node := int64(rng.Intn(p.n))
-			ops := []serve.Mutation{serve.SetRadius(node, 0.1 + rng.Float64()*0.4)}
+			ops := []serve.Mutation{serve.SetRadius(node, 0.1+rng.Float64()*0.4)}
 			if traced {
 				// A fresh sampled root per mutation: the whole write path —
 				// wire decode, queue, WAL, apply, publish — runs its traced

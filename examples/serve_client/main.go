@@ -5,8 +5,9 @@
 // A control plane embedded in a larger Go program gets the same
 // guarantees the daemon offers over the wire: bounded queues with
 // explicit backpressure, snapshots that always reflect a prefix of the
-// mutation log, and (in deterministic mode) a replayable trace of every
-// mutation the session processed.
+// mutation log, and exact applied/rejected accounting. Give the manager a
+// store (serve.Config.Store) and the write-ahead log records every batch,
+// replayable with Manager.Recover.
 //
 //	go run ./examples/serve_client
 package main
@@ -26,9 +27,8 @@ import (
 
 func main() {
 	mgr := serve.NewManager(serve.Config{
-		Shards:        2,
-		QueueCap:      512,
-		Deterministic: true, // record a replayable mutation trace
+		Shards:   2,
+		QueueCap: 512,
 	})
 	defer mgr.Close(context.Background())
 
@@ -69,7 +69,7 @@ func main() {
 		enqueue(serve.Remove(id))
 	}
 	enqueue(serve.Move(20, 1.0, 1.0))
-	enqueue(serve.Remove(9999)) // unknown ID: rejected, counted, traced
+	enqueue(serve.Remove(9999)) // unknown ID: rejected and counted
 	s.Flush(context.Background())
 	row("after churn")
 
@@ -81,12 +81,7 @@ func main() {
 
 	t.Render(os.Stdout)
 
-	// The deterministic trace replays byte-identically: feed it back
-	// through a fresh manager and compare.
-	pts, ops, err := serve.ParseTrace(s.TraceText())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("\ntrace: %d initial nodes, %d recorded mutations — replayable via serve.ParseTrace\n",
-		len(pts), len(ops))
+	applied, rejected := s.Counts()
+	fmt.Printf("\nprocessed %d mutations: %d applied, %d rejected\n",
+		applied+rejected, applied, rejected)
 }

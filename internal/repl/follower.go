@@ -118,13 +118,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Manager == nil {
 		return nil, errors.New("repl: follower requires a manager")
 	}
-	if mc := cfg.Manager.Config(); !mc.NoCoalesce && !mc.Deterministic {
-		// The leader logs post-coalesce batches, so each replicated
-		// record's mutation count is exactly its seq advance; a coalescing
-		// follower would merge mutations across record boundaries and fall
-		// behind the leader's seq space (see internal/serve/replicate.go).
-		return nil, errors.New("repl: follower manager must be built with serve.Config.NoCoalesce")
-	}
 	f := &Follower{cfg: cfg, mx: registerMetrics(cfg.Registry), done: make(chan struct{})}
 	if cfg.CursorPath != "" {
 		b, err := os.ReadFile(cfg.CursorPath)
@@ -306,6 +299,7 @@ func (f *Follower) session() (progressed bool, fatal error) {
 		if err != nil {
 			return progressed, nil // torn/partitioned/closed: reconnect
 		}
+		recvNS := time.Now().UnixNano()
 		switch h.Type {
 		case wire.MsgErr:
 			msg, _, _ := wire.ReadString(p)
@@ -371,9 +365,13 @@ func (f *Follower) session() (progressed bool, fatal error) {
 				f.cfg.Logf("repl: follower %s caught the stream again", f.cfg.NodeID)
 			}
 			// WallNS lets the leader estimate this node's clock offset from
-			// the ack round trip (see PeerStats.OffsetNS).
+			// the ack round trip (see PeerStats.OffsetNS). It is the
+			// midpoint between frame receipt and ack, so the time spent
+			// applying the frame and persisting the cursor splits evenly
+			// across the round trip instead of reading as clock offset.
+			sendNS := time.Now().UnixNano()
 			ackb = wire.AppendFrame(ackb[:0], wire.MsgReplAck, 0, h.ID,
-				wire.AppendReplAck(nil, wire.ReplAck{Epoch: epoch, Cursor: cur, WallNS: time.Now().UnixNano()}), false)
+				wire.AppendReplAck(nil, wire.ReplAck{Epoch: epoch, Cursor: cur, WallNS: recvNS + (sendNS-recvNS)/2}), false)
 			if _, werr := conn.Write(ackb); werr != nil {
 				return progressed, nil
 			}

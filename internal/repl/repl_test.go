@@ -81,9 +81,9 @@ func stateKey(m *serve.Manager) string {
 	return sb.String()
 }
 
-// node bundles one rimd's store and manager. Followers apply without
-// coalescing (the replication contract) and shadow-check every mutation
-// through the oracle's differential evaluator.
+// node bundles one rimd's store and manager. Followers run the default
+// configuration and shadow-check every mutation through the oracle's
+// differential evaluator.
 type node struct {
 	id  string
 	dir string
@@ -97,7 +97,6 @@ func newNode(t *testing.T, id string, policy store.SyncPolicy, follower bool) *n
 	st := openStore(t, dir, policy)
 	cfg := serve.Config{Shards: 1, Store: st}
 	if follower {
-		cfg.NoCoalesce = true
 		cfg.Engine = func(p []geom.Point) dynamic.Engine { return oracle.NewDiffEvaluator(p) }
 	}
 	return &node{id: id, dir: dir, st: st, m: serve.NewManager(cfg)}
@@ -694,24 +693,44 @@ func TestStaleEpochRefused(t *testing.T) {
 	}
 }
 
-// TestFollowerRejectsCoalescingManager pins the replication contract at
-// construction time: a manager that coalesces batches would merge
-// mutations across record boundaries and fall behind the leader's seq
-// space, so NewFollower must refuse it — and must not leave the manager
-// read-only on the way out.
-func TestFollowerRejectsCoalescingManager(t *testing.T) {
-	st := openStore(t, t.TempDir(), store.SyncNone)
-	defer st.Close()
-	m := serve.NewManager(serve.Config{Shards: 1, Store: st})
-	defer m.Close(context.Background())
-	_, err := repl.NewFollower(repl.FollowerConfig{
-		Manager: m, NodeID: "bad", LeaderAddr: "127.0.0.1:1", Registry: obs.NewRegistry(),
-	})
-	if err == nil {
-		t.Fatal("NewFollower accepted a manager built without NoCoalesce")
+// TestFollowerReplaysUncoalescedRecord: a follower in the default
+// configuration, which coalesces client batches, holds the leader's seq
+// after a batch record that sets one node's radius twice. A replicated
+// record is applied as one pinned batch, exactly as recorded, so its op
+// count stays its seq advance and the next record extends the
+// follower's watermark without a gap.
+func TestFollowerReplaysUncoalescedRecord(t *testing.T) {
+	ldrN := newNode(t, "n1", store.SyncNone, false)
+	defer ldrN.close()
+	ldr, ln := startLeader(t, ldrN, 1, nil)
+	defer ldr.Close()
+	folN := newNode(t, "n2", store.SyncNone, true)
+	fol := newFollower(t, folN, ln.Addr().String(), nil)
+	go fol.Run()
+	defer folN.close()
+	defer fol.Stop()
+
+	a := mustCreate(t, ldrN.m, "alpha", pts(4))
+	if _, err := a.ApplyBatch([]serve.Mutation{
+		serve.SetRadius(1, 1), serve.SetRadius(1, 2), serve.Move(0, 0.1, 0.2),
+	}); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
 	}
-	if m.ReadOnly() {
-		t.Fatal("refused NewFollower left the manager read-only")
+	if err := a.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if seq := a.Snapshot().Seq; seq != 3 {
+		t.Fatalf("leader seq %d, want 3 (a pinned batch is not coalesced)", seq)
+	}
+	step(t, a, serve.SetRadius(2, 1.5))
+	tail := ldrN.st.ReplTail()
+	waitUntil(t, 10*time.Second, "follower catch-up", caughtUp(fol, ldrN.st, tail))
+	drain(t, folN.m)
+	if got, want := stateKey(folN.m), stateKey(ldrN.m); got != want {
+		t.Fatalf("follower state diverged\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if st := fol.Stats(); st.Gaps != 0 {
+		t.Fatalf("follower recorded gaps: %+v", st)
 	}
 }
 

@@ -37,8 +37,9 @@ import (
 //
 // Failure policy: the service favors availability over durability. When a
 // WAL append fails, the error is counted (rimd_wal_failures_total) and
-// logging stops for the process; in-memory serving continues. Operators
-// watching the metric can drain and restart; operators who need
+// logging stops for the process; in-memory serving continues, and
+// /healthz turns 503 naming the error. Operators watching the metric or
+// the probe can drain and restart; operators who need
 // stop-on-failure semantics run -fsync=always and treat the metric as a
 // page.
 
@@ -51,10 +52,22 @@ var ErrNoStore = errors.New("serve: no store configured")
 // batches of per-stage timings, captured at the moment durability died.
 func (m *Manager) walFail(err error) {
 	m.metrics.WALFailures.Add(1)
+	first := m.walErr.CompareAndSwap(nil, &err)
 	m.walBroken.Store(true)
-	if m.walErr.CompareAndSwap(nil, &err) && obs.On() {
+	if first && obs.On() {
 		obs.DefaultFlight().WriteText(os.Stderr, "wal failure: "+err.Error())
 	}
+}
+
+// WALError returns the first WAL failure, which switched batch logging
+// off, or nil while the WAL is healthy or absent. It is set before
+// logging stops, so a nil result means every acknowledged batch so far
+// was logged.
+func (m *Manager) WALError() error {
+	if p := m.walErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // walOK reports whether batch logging is still active.
@@ -146,8 +159,8 @@ func decodeCheckpoint(payload []byte) (sessState, error) {
 	var st sessState
 	text := strings.TrimRight(string(payload), "\n")
 	lines := strings.Split(text, "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "rimsess v1 ") {
-		return st, fmt.Errorf("serve: not a rimsess v1 checkpoint: %q", first(lines))
+	if !strings.HasPrefix(lines[0], "rimsess v1 ") { // Split never returns an empty slice
+		return st, fmt.Errorf("serve: not a rimsess v1 checkpoint: %q", lines[0])
 	}
 	var n, m int
 	for _, tok := range strings.Fields(lines[0])[2:] {

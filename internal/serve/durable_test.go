@@ -10,6 +10,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,64 +48,6 @@ func snapKey(s *serve.Snapshot) string {
 		fmt.Fprintf(&sb, " (%d %v %v %v %d)", nd.ID, nd.X, nd.Y, nd.R, nd.I)
 	}
 	return sb.String()
-}
-
-func TestParseTraceTruncated(t *testing.T) {
-	m := serve.NewManager(serve.Config{Shards: 1, Deterministic: true})
-	defer m.Close(context.Background())
-	s := mustCreate(t, m, "tr", line(4))
-	mustApply(t, s, serve.Add(1.25, 0.5), serve.Move(0, 0.1, 0.2), serve.SetRadius(1, 2.5))
-	flush(t, s)
-	full := s.TraceText()
-	pts, ops, err := serve.ParseTrace(full)
-	if err != nil || len(pts) != 4 || len(ops) != 3 {
-		t.Fatalf("intact trace: pts=%d ops=%d err=%v", len(pts), len(ops), err)
-	}
-
-	// Cutting anywhere inside the final line must surface ErrTruncated and
-	// return only the complete-line prefix — including the nasty case
-	// where the cut leaves a prefix that parses as a complete, different
-	// record ("... id=31 ..." cut to "... id=3"). The final line is the
-	// batch marker; cutting inside it keeps all three ops.
-	last := strings.LastIndex(strings.TrimRight(full, "\n"), "\n") + 1
-	for cut := last + 1; cut < len(full); cut++ {
-		pts2, ops2, terr := serve.ParseTrace(full[:cut])
-		if !errors.Is(terr, serve.ErrTruncated) {
-			t.Fatalf("cut at %d: err=%v, want ErrTruncated", cut, terr)
-		}
-		if len(pts2) != 4 || len(ops2) != 3 {
-			t.Fatalf("cut at %d: pts=%d ops=%d, want the 3-op complete prefix", cut, len(pts2), len(ops2))
-		}
-	}
-	// Cutting inside the last op line instead drops that op.
-	noMark := full[:last]
-	opLast := strings.LastIndex(strings.TrimRight(noMark, "\n"), "\n") + 1
-	for cut := opLast + 1; cut < len(noMark); cut++ {
-		pts2, ops2, terr := serve.ParseTrace(noMark[:cut])
-		if !errors.Is(terr, serve.ErrTruncated) {
-			t.Fatalf("op cut at %d: err=%v, want ErrTruncated", cut, terr)
-		}
-		if len(pts2) != 4 || len(ops2) != 2 {
-			t.Fatalf("op cut at %d: pts=%d ops=%d, want the 2-op complete prefix", cut, len(pts2), len(ops2))
-		}
-	}
-
-	// A forged longer ID: the truncated tail "m seq=9 add id=3" looks like
-	// a complete record but must NOT be returned as one.
-	forged := "rimd-trace v1 n=0\nm seq=9 add id=31 x=2 y=7 n=1 max=0"
-	_, ops3, terr := serve.ParseTrace(forged)
-	if !errors.Is(terr, serve.ErrTruncated) || len(ops3) != 0 {
-		t.Fatalf("forged tail: ops=%d err=%v, want 0 ops + ErrTruncated", len(ops3), terr)
-	}
-
-	// Even the header can be cut.
-	if _, _, herr := serve.ParseTrace("rimd-trace v1 n="); !errors.Is(herr, serve.ErrTruncated) {
-		t.Fatalf("cut header: err=%v, want ErrTruncated", herr)
-	}
-	// Empty input stays a header error, not a truncation.
-	if _, _, eerr := serve.ParseTrace(""); errors.Is(eerr, serve.ErrTruncated) || eerr == nil {
-		t.Fatalf("empty input: err=%v, want non-truncation header error", eerr)
-	}
 }
 
 // TestDrainRejectsQueued locks in the shutdown-drain fix: mutations still
@@ -370,7 +315,8 @@ func TestRecoverCheckpointOnlySession(t *testing.T) {
 
 // TestWALFailureKeepsServing locks in the availability-over-durability
 // policy: a failing WAL disables logging, counts the failure, and the
-// session keeps applying mutations.
+// session keeps applying mutations — while /healthz, ok before the
+// failure, turns 503 and names it.
 func TestWALFailureKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	ffs := store.NewFaultFS(store.OSFS{})
@@ -381,9 +327,24 @@ func TestWALFailureKeepsServing(t *testing.T) {
 	defer st.Close()
 	m := serve.NewManager(serve.Config{Shards: 1, Store: st})
 	defer m.Close(context.Background())
+	srv := httptest.NewServer(serve.NewHandler(m))
+	defer srv.Close()
+	healthz := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("GET /healthz: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
 	s := mustCreate(t, m, "w", line(3))
 	mustApply(t, s, serve.Add(0.5, 0.5))
 	flush(t, s)
+	if code, body := healthz(); code != http.StatusOK || body != "ok\n" {
+		t.Fatalf("healthy /healthz: %d %q, want 200 ok", code, body)
+	}
 
 	ffs.FailSyncs(1, errors.New("disk on fire"))
 	mustApply(t, s, serve.SetRadius(0, 3))
@@ -399,6 +360,72 @@ func TestWALFailureKeepsServing(t *testing.T) {
 	m.WriteMetrics(&sb)
 	if !strings.Contains(sb.String(), "rimd_wal_failures_total 1") {
 		t.Fatalf("exposition missing rimd_wal_failures_total 1:\n%s", sb.String())
+	}
+	if code, body := healthz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "disk on fire") {
+		t.Fatalf("/healthz after WAL failure: %d %q, want 503 naming the error", code, body)
+	}
+}
+
+// TestRecoverReplayThenWriteSurvivesRestart: a log written by a
+// non-coalescing manager (a promoted follower, say) holds a batch record
+// that sets one node's radius twice. Recovery must replay the record as
+// written, reaching seq 3 rather than the 2 a re-coalesced batch would
+// reach; otherwise the next acknowledged write is logged under a seq
+// the log already holds, and the restart after it skips that write as a
+// redelivered prefix.
+func TestRecoverReplayThenWriteSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, store.SyncNone)
+	m := serve.NewManager(serve.Config{Shards: 1, Store: st, NoCoalesce: true})
+	s := mustCreate(t, m, "a", line(4))
+	mustApply(t, s, serve.SetRadius(1, 1), serve.SetRadius(1, 2), serve.Move(0, 0.1, 0.2))
+	flush(t, s)
+	if seq := s.Snapshot().Seq; seq != 3 {
+		t.Fatalf("live seq %d, want 3", seq)
+	}
+	// Crash: seal the WAL but never checkpoint or drain.
+	if err := st.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
+
+	st2 := openStore(t, dir, store.SyncNone)
+	m2 := serve.NewManager(serve.Config{Shards: 1, Store: st2})
+	if _, err := m2.Recover(true); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	s2, ok := m2.Session("a")
+	if !ok {
+		t.Fatal("session not recovered")
+	}
+	if seq := s2.Snapshot().Seq; seq != 3 {
+		t.Fatalf("recovered seq %d, want the recorded 3", seq)
+	}
+	mustApply(t, s2, serve.SetRadius(2, 1.5))
+	flush(t, s2)
+	want := snapKey(s2.Snapshot())
+	if err := st2.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
+
+	st3 := openStore(t, dir, store.SyncNone)
+	defer st3.Close()
+	m3 := serve.NewManager(serve.Config{Shards: 1, Store: st3})
+	defer m3.Close(context.Background())
+	if _, err := m3.Recover(true); err != nil {
+		t.Fatalf("Recover 2: %v", err)
+	}
+	s3, ok := m3.Session("a")
+	if !ok {
+		t.Fatal("session not recovered after the second crash")
+	}
+	if seq := s3.Snapshot().Seq; seq != 4 {
+		t.Fatalf("second recovery seq %d, want 4", seq)
+	}
+	if n, _ := s3.Snapshot().Node(2); n.R != 1.5 {
+		t.Fatalf("node 2 radius %v after the second recovery, want the acknowledged 1.5", n.R)
+	}
+	if got := snapKey(s3.Snapshot()); got != want {
+		t.Fatalf("second recovery state\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // HTTP/JSON front door. Routes (Go 1.22 pattern syntax):
 //
-//	GET    /healthz                     liveness
+//	GET    /healthz                     liveness (503 once the WAL has failed)
 //	GET    /metrics                     Prometheus text exposition
 //	POST   /v1/sessions                 create a session
 //	GET    /v1/sessions                 list session IDs
@@ -26,7 +26,6 @@ import (
 //	POST   /v1/sessions/{id}/flush      wait until the queue drains
 //	GET    /v1/sessions/{id}/nodes      per-node state
 //	GET    /v1/sessions/{id}/edges      maintained topology edges
-//	GET    /v1/sessions/{id}/trace      deterministic-mode mutation trace
 //
 // Every read is served from the session's published snapshot; no read
 // path takes a session lock.
@@ -96,7 +95,6 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/flush", h.route("flush", h.flush))
 	mux.HandleFunc("GET /v1/sessions/{id}/nodes", h.route("nodes", h.nodes))
 	mux.HandleFunc("GET /v1/sessions/{id}/edges", h.route("edges", h.edges))
-	mux.HandleFunc("GET /v1/sessions/{id}/trace", h.route("trace", h.trace))
 	return mux
 }
 
@@ -145,8 +143,16 @@ func (h *api) session(w http.ResponseWriter, r *http.Request) (*Session, bool) {
 	return s, ok
 }
 
+// healthz answers ok until the WAL fails. After that the manager keeps
+// serving from memory but acknowledged writes are no longer durable, so
+// the probe turns 503 and names the error.
 func (h *api) healthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain")
+	if err := h.m.WALError(); err != nil {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, "wal failed:", err)
+		return
+	}
 	fmt.Fprintln(w, "ok")
 }
 
@@ -330,18 +336,4 @@ func (h *api) edges(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{"seq": snap.Seq, "edges": snap.Edges})
-}
-
-func (h *api) trace(w http.ResponseWriter, r *http.Request) {
-	s, ok := h.session(w, r)
-	if !ok {
-		return
-	}
-	text := s.TraceText()
-	if text == "" {
-		writeErr(w, http.StatusConflict, "session not in deterministic mode")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprint(w, text)
 }

@@ -65,7 +65,7 @@ func (c *client) want(code int, method, path string, body, out any) {
 }
 
 func TestHTTPAPIRoundTrip(t *testing.T) {
-	c, _ := newClient(t, serve.Config{Shards: 2, Deterministic: true})
+	c, _ := newClient(t, serve.Config{Shards: 2})
 
 	// Create with server-side generation, then with explicit points.
 	var created struct {
@@ -142,19 +142,13 @@ func TestHTTPAPIRoundTrip(t *testing.T) {
 		t.Fatalf("no edges on a connected instance")
 	}
 
-	// Deterministic-mode trace is parseable and starts with the header.
-	resp := c.do("GET", "/v1/sessions/pts/trace", nil, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace status %d", resp.StatusCode)
-	}
-
 	c.want(http.StatusOK, "DELETE", "/v1/sessions/pts", nil, nil)
 	c.want(http.StatusNotFound, "GET", "/v1/sessions/pts", nil, nil)
 	c.want(http.StatusNotFound, "DELETE", "/v1/sessions/pts", nil, nil)
 }
 
 func TestHTTPErrors(t *testing.T) {
-	c, _ := newClient(t, serve.Config{Shards: 1}) // non-deterministic
+	c, _ := newClient(t, serve.Config{Shards: 1})
 	c.want(http.StatusCreated, "POST", "/v1/sessions", map[string]any{"id": "s", "n": 4}, nil)
 
 	c.want(http.StatusNotFound, "GET", "/v1/sessions/nope", nil, nil)
@@ -177,9 +171,6 @@ func TestHTTPErrors(t *testing.T) {
 		map[string]any{"ops": []map[string]any{{"op": "remove"}}}, nil)
 	c.want(http.StatusBadRequest, "POST", "/v1/sessions/s/mutations",
 		map[string]any{"ops": []map[string]any{{"op": "set_radius", "node": 0, "r": -2}}}, nil)
-
-	// Trace only exists in deterministic mode.
-	c.want(http.StatusConflict, "GET", "/v1/sessions/s/trace", nil, nil)
 
 	// Empty-ID create.
 	c.want(http.StatusBadRequest, "POST", "/v1/sessions", map[string]any{"n": 4}, nil)

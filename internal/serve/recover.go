@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/phys"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -249,7 +248,6 @@ func (m *Manager) restoreSession(id string, st sessState) (*Session, error) {
 		id:      id,
 		mgr:     m,
 		sh:      m.shardFor(id),
-		det:     m.cfg.Deterministic,
 		measure: measure,
 		flShard: flightShardOf(id),
 		nextID:  st.nextID,
@@ -262,11 +260,6 @@ func (m *Manager) restoreSession(id string, st sessState) (*Session, error) {
 	s.cond = sync.NewCond(&s.mu)
 	for i, ext := range st.idOf {
 		s.idxOf[ext] = i
-	}
-	if s.det {
-		s.header = traceHeaderMeasure(st.rs.Points, measure)
-		s.header = append(s.header, fmt.Sprintf("# restored from checkpoint at seq=%d; trace is not replayable from zero", st.seq))
-		s.ops = &sim.TraceBuffer{Cap: m.cfg.TraceCap}
 	}
 	s.initHooks()
 	s.publish()

@@ -13,11 +13,11 @@ import (
 // builds the session (and logs a create record to the follower's own
 // WAL, so the follower is independently recoverable), a batch is
 // enqueued through the shard pipeline (and write-ahead-logged locally
-// before apply, like any other batch), a drop closes the session. The
-// follower must be configured with NoCoalesce: the leader already
-// logged post-coalesce batches, and the shard drain may merge several
-// replicated records into one owner batch, so coalescing again across
-// record boundaries would drop mutations and diverge the seq space.
+// before apply, like any other batch), a drop closes the session. Each
+// batch record is enqueued as one pinned batch, which the drain applies
+// exactly as recorded — never merged with its neighbours and never
+// coalesced — so its mutation count stays its seq advance under any
+// follower configuration.
 //
 // Redelivery is the normal case, not an error: the follower
 // acknowledges lazily and resubscribes after faults from its last

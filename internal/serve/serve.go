@@ -16,9 +16,9 @@
 //     reports ErrQueueFull, which the HTTP layer maps to 429 with
 //     Retry-After — explicit backpressure instead of unbounded buffering;
 //   - the session's shard drains the queue in batches (coalescing
-//     redundant same-node radius writes outside deterministic mode) and
-//     applies them on its own goroutine — the session's only writer, so
-//     the engine needs no locks;
+//     redundant same-node radius writes) and applies them on its own
+//     goroutine — the session's only writer, so the engine needs no
+//     locks;
 //   - after every batch the owner exports the engine state into an
 //     immutable Snapshot and publishes it with one atomic pointer swap.
 //
@@ -29,14 +29,16 @@
 //
 // # Determinism
 //
-// With Config.Deterministic a session records every applied mutation as
-// one line of a textual trace (initial instance included, coalescing
-// disabled). The trace is self-contained: ParseTrace recovers the
-// instance and the exact mutation sequence, so a recorded session can be
-// re-executed through a fresh pipeline — byte-identically, checkable with
-// oracle.ReplayText — or through a pipeline whose engine is the oracle's
+// With Config.Store set, the write-ahead log is the session's one
+// mutation record: a create record carries the initial instance and
+// measure, and each batch record carries one applied batch, its ops in
+// apply order. Replaying the records through a fresh manager (Recover,
+// or a replication follower's ApplyRecord) re-applies every batch as
+// one pinned batch and reproduces the session exactly — seq, radii and
+// interference — byte-identically run after run, checkable with
+// oracle.ReplayText, or through a pipeline whose engine is the oracle's
 // naive-shadowed DiffEvaluator, inheriting the differential-testing
-// guarantees of the correctness layer.
+// guarantees of the correctness layer. DumpLog renders the log as text.
 package serve
 
 import (
@@ -80,14 +82,6 @@ type Config struct {
 	// BatchCap bounds how many mutations one batch applies before
 	// publishing a snapshot; <= 0 means 256.
 	BatchCap int
-	// Deterministic records a replayable per-session mutation trace and
-	// disables batch coalescing (so trace bytes are independent of batch
-	// boundaries).
-	Deterministic bool
-	// TraceCap bounds the retained trace lines per session via a ring
-	// buffer (sim.TraceBuffer); <= 0 retains everything. Replay requires
-	// an uncapped (or never-overflowed) trace.
-	TraceCap int
 	// RebuildFactor is passed to dynamic.Maintainer; 0 means its default.
 	RebuildFactor float64
 	// MaxAnnealIters caps the per-mutation anneal budget; <= 0 means
@@ -129,11 +123,10 @@ type Config struct {
 	// durable.go). Nil costs nothing: the logging branch is one flag
 	// check per batch.
 	Store *store.Store
-	// NoCoalesce disables batch coalescing even outside deterministic
-	// mode. A replication follower must set it: the leader logs batches
-	// post-coalesce, so each replicated record's mutation count is
-	// exactly its seq advance — re-coalescing across record boundaries
-	// on the follower would drop mutations and diverge the seq space.
+	// NoCoalesce disables batch coalescing of client batches, so every
+	// enqueued mutation is applied, logged and counted. Pinned batches
+	// (ApplyBatch, replication, recovery) are never coalesced, so
+	// followers and recovery need not set it.
 	NoCoalesce bool
 }
 

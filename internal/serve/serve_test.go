@@ -3,9 +3,9 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +14,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/oracle"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func line(n int) []geom.Point {
@@ -162,8 +163,7 @@ func TestValidationRejectsGarbage(t *testing.T) {
 }
 
 // TestCoalescing pins the batched-pipeline contract: redundant same-node
-// radius writes inside one batch collapse to the last one outside
-// deterministic mode.
+// radius writes inside one client batch collapse to the last one.
 func TestCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	released := false
@@ -230,8 +230,8 @@ func TestBackpressure(t *testing.T) {
 
 func TestAnnealMutationDeterministic(t *testing.T) {
 	// The same anneal budget with the same seed over the same instance must
-	// land both sessions on identical state — the property session-trace
-	// replay leans on.
+	// land both sessions on identical state — the property WAL replay
+	// leans on.
 	m := serve.NewManager(serve.Config{Shards: 2})
 	defer m.Close(context.Background())
 	rng := rand.New(rand.NewSource(7))
@@ -275,7 +275,7 @@ func TestAnnealMutationDeterministic(t *testing.T) {
 func TestDiffEngineInjection(t *testing.T) {
 	var verr error
 	m := serve.NewManager(serve.Config{
-		Shards: 1, Deterministic: true,
+		Shards: 1,
 		Engine: func(pts []geom.Point) dynamic.Engine { return oracle.NewDiffEvaluator(pts) },
 		AfterBatch: func(_ string, eng dynamic.Engine) {
 			if verr == nil {
@@ -307,12 +307,17 @@ func TestDiffEngineInjection(t *testing.T) {
 	}
 }
 
-func TestParseTraceRoundTrip(t *testing.T) {
-	m := serve.NewManager(serve.Config{Shards: 1, Deterministic: true})
-	defer m.Close(context.Background())
+// TestWALReplayRoundTrip logs eight ops of every kind as one WAL batch
+// record and recovers them into a fresh manager: floats come back bit for
+// bit, integers above 2^53 exactly (through a float64, seed 1<<62+1 would
+// come back as 1<<62, another random stream, and id 1<<53+1 as 1<<53),
+// and the second Remove(7) is re-derived as a rejection.
+func TestWALReplayRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, store.SyncNone)
+	m := serve.NewManager(serve.Config{Shards: 1, Store: st})
 	rng := rand.New(rand.NewSource(5))
-	pts := gen.UniformSquare(rng, 16, 2)
-	s := mustCreate(t, m, "rt", pts)
+	s := mustCreate(t, m, "rt", gen.UniformSquare(rng, 16, 2))
 	mustApply(t, s,
 		serve.Add(0.123456789, 1.9876543210987),
 		serve.SetRadius(2, 0.333333333333333),
@@ -320,118 +325,100 @@ func TestParseTraceRoundTrip(t *testing.T) {
 		serve.Remove(7), // rejected second time
 		serve.Move(1, 1e-9, 987.654321),
 		serve.AnnealStep(100, 42),
-		// Integers parse as integers: through a float64, seed 1<<62+1
-		// came back as 1<<62 (another random stream), id 1<<53+1 as 1<<53.
 		serve.AnnealStep(100, 1<<62+1),
 		serve.Mutation{Op: serve.OpAdd, Node: 1<<53 + 1, X: 0.5, Y: 0.25},
 	)
 	flush(t, s)
-	text := s.TraceText()
+	want := snapKey(s.Snapshot())
+	if applied, rejected := s.Counts(); applied != 7 || rejected != 1 {
+		t.Fatalf("live counts %d/%d, want 7 applied, 1 rejected", applied, rejected)
+	}
+	// Simulate a crash: seal the WAL but never checkpoint or drain.
+	if err := st.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
 
-	gotPts, ops, err := serve.ParseTrace(text)
-	if err != nil {
-		t.Fatalf("ParseTrace: %v", err)
-	}
-	if len(gotPts) != len(pts) {
-		t.Fatalf("parsed %d points, want %d", len(gotPts), len(pts))
-	}
-	for i := range pts {
-		if gotPts[i] != pts[i] {
-			t.Fatalf("point %d: %v != %v (float round-trip broken)", i, gotPts[i], pts[i])
+	// One Apply call enqueues atomically, so the eight ops drained as one
+	// pipeline batch and were logged as one record.
+	var batches []store.Record
+	for _, rec := range walRecords(t, dir) {
+		if rec.Kind == store.RecordBatch {
+			batches = append(batches, rec)
 		}
 	}
-	if len(ops) != 8 {
-		t.Fatalf("parsed %d ops, want 8:\n%s", len(ops), text)
+	if len(batches) != 1 || batches[0].Seq != 8 {
+		t.Fatalf("WAL holds %d batch records (%+v), want 1 ending at seq 8", len(batches), batches)
 	}
-	if ops[0].Op != serve.OpAdd || ops[0].Node != 16 {
-		t.Fatalf("add parsed as %+v", ops[0])
-	}
-	if ops[5].Op != serve.OpAnneal || ops[5].Iters != 100 || ops[5].Seed != 42 {
-		t.Fatalf("anneal parsed as %+v", ops[5])
-	}
-	if ops[6].Seed != 1<<62+1 || ops[7].Node != 1<<53+1 {
-		t.Fatalf("large integers parsed as seed %d, id %d", ops[6].Seed, ops[7].Node)
-	}
-	if !strings.Contains(text, "reject remove id=7") {
-		t.Fatalf("rejected op not recorded:\n%s", text)
-	}
-	// One Apply call enqueues atomically, so the eight ops drained as one
-	// pipeline batch — and the recorded boundary recovers it.
-	_, batches, err := serve.ParseTraceBatches(text)
+
+	st2 := openStore(t, dir, store.SyncNone)
+	defer st2.Close()
+	m2 := serve.NewManager(serve.Config{Shards: 1, Store: st2})
+	defer m2.Close(context.Background())
+	rs, err := m2.Recover(true)
 	if err != nil {
-		t.Fatalf("ParseTraceBatches: %v", err)
+		t.Fatalf("Recover: %v", err)
 	}
-	if len(batches) != 1 || len(batches[0]) != 8 {
-		t.Fatalf("recovered %d batches (first %d ops), want 1 batch of 8:\n%s", len(batches), len(batches[0]), text)
+	if rs.ReplayedBatches != 1 || rs.ReplayedMutations != 8 {
+		t.Fatalf("RecoveryStats=%+v, want 1 batch of 8 replayed", rs)
+	}
+	s2, ok := m2.Session("rt")
+	if !ok {
+		t.Fatal("session not recovered")
+	}
+	if applied, rejected := s2.Counts(); applied != 7 || rejected != 1 {
+		t.Fatalf("recovered counts %d/%d, want 7 applied, 1 rejected", applied, rejected)
+	}
+	if got := snapKey(s2.Snapshot()); got != want {
+		t.Fatalf("recovered state\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestApplyBatchPinsBoundaries checks the batch-boundary fidelity
 // primitive: pinned batches enqueued back-to-back (no flush between, so
 // the drain could otherwise merge them) must each run as one pipeline
-// batch — the trace markers prove where the boundaries fell. This is
-// what replication and WAL recovery lean on to reproduce the leader's
-// deferral points.
+// batch, exactly as enqueued — the WAL batch records prove where the
+// boundaries fell. The third batch writes one node's radius twice; a
+// pinned batch is never coalesced, so its record keeps both writes.
+// This is what replication and WAL recovery lean on to reproduce the
+// leader's deferral points.
 func TestApplyBatchPinsBoundaries(t *testing.T) {
-	m := serve.NewManager(serve.Config{Shards: 1, Deterministic: true})
-	defer m.Close(context.Background())
+	dir := t.TempDir()
+	st := openStore(t, dir, store.SyncNone)
+	m := serve.NewManager(serve.Config{Shards: 1, Store: st})
 	rng := rand.New(rand.NewSource(9))
 	s := mustCreate(t, m, "pin", gen.UniformSquare(rng, 12, 2))
 	sizes := []int{3, 1, 5, 2}
-	for _, k := range sizes {
+	for bi, k := range sizes {
 		batch := make([]serve.Mutation, k)
 		for i := range batch {
 			batch[i] = serve.Move(int64(rng.Intn(12)), rng.Float64()*2, rng.Float64()*2)
+		}
+		if bi == 2 {
+			batch[1], batch[3] = serve.SetRadius(4, 0.5), serve.SetRadius(4, 0.75)
 		}
 		if _, err := s.ApplyBatch(batch); err != nil {
 			t.Fatalf("ApplyBatch: %v", err)
 		}
 	}
 	flush(t, s)
-	_, batches, err := serve.ParseTraceBatches(s.TraceText())
-	if err != nil {
-		t.Fatalf("ParseTraceBatches: %v", err)
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	if len(batches) != len(sizes) {
-		t.Fatalf("drained as %d batches, want %d pinned", len(batches), len(sizes))
+	if err := st.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
 	}
-	for i, b := range batches {
-		if len(b) != sizes[i] {
-			t.Fatalf("batch %d drained %d ops, want pinned size %d", i, len(b), sizes[i])
+	// A batch record's Seq is the session's seq after the batch, and
+	// every applied op advances seq by one: consecutive differences are
+	// the batch sizes.
+	var got []int
+	var prev uint64
+	for _, rec := range walRecords(t, dir) {
+		if rec.Kind == store.RecordBatch {
+			got = append(got, int(rec.Seq-prev))
+			prev = rec.Seq
 		}
 	}
-}
-
-func TestTraceRingCap(t *testing.T) {
-	m := serve.NewManager(serve.Config{Shards: 1, Deterministic: true, TraceCap: 8})
-	defer m.Close(context.Background())
-	s := mustCreate(t, m, "ring", line(3))
-	for i := 0; i < 20; i++ {
-		mustApply(t, s, serve.SetRadius(0, float64(i)))
-	}
-	flush(t, s)
-	text := s.TraceText()
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	// Op lines share the ring with batch-boundary markers, whose count
-	// depends on how the queue drained — so bound the retained window
-	// instead of asserting an exact split.
-	var mLines, bLines int
-	for _, l := range lines {
-		switch {
-		case strings.HasPrefix(l, "m "):
-			mLines++
-		case strings.HasPrefix(l, "b "):
-			bLines++
-		}
-	}
-	if got := mLines + bLines; got > 8 || mLines == 0 {
-		t.Fatalf("retained %d op + %d marker lines, want at most ring cap 8:\n%s", mLines, bLines, text)
-	}
-	if !strings.Contains(text, "# ring cap evicted ") {
-		t.Fatalf("eviction marker missing:\n%s", text)
-	}
-	// The retained suffix is the most recent ops.
-	if !strings.Contains(text, "seq=20") || strings.Contains(text, "seq=12 ") {
-		t.Fatalf("ring kept wrong window:\n%s", text)
+	if fmt.Sprint(got) != fmt.Sprint(sizes) {
+		t.Fatalf("WAL batch records hold %v ops, want the pinned sizes %v", got, sizes)
 	}
 }

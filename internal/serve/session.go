@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Session is one network instance behind the pipeline: a
@@ -24,7 +21,6 @@ type Session struct {
 	id      string
 	mgr     *Manager
 	sh      *shard
-	det     bool
 	measure string // interference measure (MeasureGraph/MeasureSinr), fixed at creation
 	flShard uint64 // flight-recorder shard (FNV of id), fixed at creation
 
@@ -50,8 +46,6 @@ type Session struct {
 	delta   BatchDelta  // per-batch dirty summary (AfterBatchDelta mode)
 	deltaOn bool
 
-	header []string // deterministic mode: instance preamble
-	ops    *sim.TraceBuffer
 	walBuf []byte // owner-only scratch for WAL batch payload encoding
 
 	snap      atomic.Pointer[Snapshot]
@@ -76,8 +70,8 @@ func flightShardOf(id string) uint64 {
 
 // fullSnapshotEvery bounds how many batches may pass before the full
 // node/edge snapshot is rebuilt anyway. Flush always forces a rebuild,
-// so this only bounds how far Snapshot-path readers (node dumps,
-// traces) can trail while nobody flushes.
+// so this only bounds how far Snapshot-path readers (node and edge
+// dumps) can trail while nobody flushes.
 const fullSnapshotEvery = 64
 
 func newSession(m *Manager, id string, pts []geom.Point, measure string) *Session {
@@ -85,7 +79,6 @@ func newSession(m *Manager, id string, pts []geom.Point, measure string) *Sessio
 		id:      id,
 		mgr:     m,
 		sh:      m.shardFor(id),
-		det:     m.cfg.Deterministic,
 		measure: measure,
 		flShard: flightShardOf(id),
 		nextID:  int64(len(pts)),
@@ -96,10 +89,6 @@ func newSession(m *Manager, id string, pts []geom.Point, measure string) *Sessio
 	for i := range pts {
 		s.idOf[i] = int64(i)
 		s.idxOf[int64(i)] = i
-	}
-	if s.det {
-		s.header = traceHeaderMeasure(pts, measure)
-		s.ops = &sim.TraceBuffer{Cap: m.cfg.TraceCap}
 	}
 	s.mt = dynamic.NewWithEngine(pts, m.cfg.RebuildFactor, m.engineFor(measure))
 	s.initHooks()
@@ -169,31 +158,26 @@ func (s *Session) Apply(muts ...Mutation) ([]int64, error) {
 	if s.mgr.readOnly.Load() {
 		return nil, ErrReadOnly
 	}
-	return s.apply(muts)
+	return s.applyOpts(muts, false)
 }
 
-// ApplyBatch enqueues muts to be applied as exactly one pipeline batch:
-// the drain will not merge them with other queued mutations or split
-// them at BatchCap. Batch boundaries are semantically significant — the
-// maintainer defers its connectivity repair and rebuild-drift check to
-// the batch boundary, so the same op sequence batched differently can
-// settle on a different (equally valid) radius assignment. Replaying a
-// recorded run byte-for-byte therefore requires replaying its exact
-// boundaries, and this is the primitive that pins them. Pinned and
-// unpinned applies must not be interleaved on one session: the sizes are
-// matched against the queue head in FIFO order.
+// ApplyBatch enqueues muts to be applied as exactly one pipeline batch,
+// exactly as given: the drain will not merge them with other queued
+// mutations, split them at BatchCap, or coalesce them, so the batch
+// advances the session's seq by len(muts) and is logged as one WAL
+// record of the same ops. Batch boundaries are semantically significant
+// — the maintainer defers its connectivity repair and rebuild-drift
+// check to the batch boundary, so the same op sequence batched
+// differently can settle on a different (equally valid) radius
+// assignment. Replaying a recorded run byte-for-byte therefore requires
+// replaying its exact boundaries, and this is the primitive that pins
+// them. Pinned and unpinned applies must not be interleaved on one
+// session: the sizes are matched against the queue head in FIFO order.
 func (s *Session) ApplyBatch(muts []Mutation) ([]int64, error) {
 	if s.mgr.readOnly.Load() {
 		return nil, ErrReadOnly
 	}
 	return s.applyPinned(muts)
-}
-
-// apply is Apply without the read-only gate — recovery replay and the
-// replication apply path (which are the only legal writers on a
-// follower) come through here.
-func (s *Session) apply(muts []Mutation) ([]int64, error) {
-	return s.applyOpts(muts, false)
 }
 
 // applyPinned is ApplyBatch without the read-only gate: a follower's
@@ -350,32 +334,9 @@ func (s *Session) rejectQueued() int {
 	return n
 }
 
-// TraceText renders the deterministic-mode trace: the instance preamble
-// plus every processed-op line. Outside deterministic mode it returns
-// "". When the ring buffer has evicted lines, a '#'-comment records the
-// count (such a trace is no longer replayable from the beginning — the
-// guard that keeps soak sessions from OOMing the daemon).
-func (s *Session) TraceText() string {
-	if !s.det {
-		return ""
-	}
-	var sb strings.Builder
-	for _, l := range s.header {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	if d := s.ops.Dropped(); d > 0 {
-		sb.WriteString("# ring cap evicted ")
-		sb.WriteString(strconv.FormatInt(d, 10))
-		sb.WriteString(" lines\n")
-	}
-	sb.WriteString(s.ops.String())
-	return sb.String()
-}
-
 // runBatch is the owner-side pipeline step: drain up to BatchCap
-// mutations, coalesce (non-deterministic mode), apply, publish one
-// snapshot, reschedule if more arrived meanwhile.
+// mutations (or exactly one pinned batch), coalesce unless pinned, log,
+// apply, publish one snapshot, reschedule if more arrived meanwhile.
 func (s *Session) runBatch() {
 	cfg, mx := &s.mgr.cfg, s.mgr.metrics
 	if cfg.BeforeBatch != nil {
@@ -383,7 +344,8 @@ func (s *Session) runBatch() {
 	}
 	s.mu.Lock()
 	n := min(len(s.queue), cfg.BatchCap)
-	if len(s.bounds) > 0 {
+	pinned := len(s.bounds) > 0
+	if pinned {
 		// Boundary-pinned batch (ApplyBatch): drain exactly the enqueued
 		// size, even past BatchCap — a recorded batch was already capped
 		// by its producer, and splitting it would move the deferral point.
@@ -424,7 +386,7 @@ func (s *Session) runBatch() {
 		}
 	}
 
-	if !s.det && !cfg.NoCoalesce {
+	if !pinned && !cfg.NoCoalesce {
 		batch = coalesce(batch)
 	}
 	if flOn {
@@ -468,7 +430,6 @@ func (s *Session) runBatch() {
 		s.applyOne(batch[i])
 	}
 	s.mt.EndBatch()
-	s.traceBatchMark(len(batch))
 	if flOn {
 		now := time.Now()
 		fl.ApplyUS = obs.US(now.Sub(tMark))
@@ -610,7 +571,6 @@ func (s *Session) applyOne(mu Mutation) {
 		} else {
 			s.rejected.Add(1)
 		}
-		s.trace(mu, ok)
 	}()
 
 	switch mu.Op {
@@ -700,50 +660,6 @@ func (s *Session) dropID(id int64, idx int) {
 	for i := idx; i < len(s.idOf); i++ {
 		s.idxOf[s.idOf[i]] = i
 	}
-}
-
-// traceBatchMark records a batch-boundary line in deterministic mode.
-// EndBatch's deferred connectivity repair makes the maintained state
-// depend on where batch boundaries fall, so a replay must reproduce
-// them: ParseTraceBatches splits the op sequence at these markers, and
-// ApplyBatch re-applies each group as one batch. n/max record the
-// post-EndBatch state, which the per-op lines cannot see.
-func (s *Session) traceBatchMark(k int) {
-	if !s.det || k == 0 {
-		return
-	}
-	eng := s.mt.Engine()
-	var sb strings.Builder
-	sb.WriteString("b seq=")
-	sb.WriteString(strconv.FormatUint(s.seq, 10))
-	sb.WriteString(" k=")
-	sb.WriteString(strconv.Itoa(k))
-	sb.WriteString(" n=")
-	sb.WriteString(strconv.Itoa(eng.N()))
-	sb.WriteString(" max=")
-	sb.WriteString(strconv.Itoa(eng.Max()))
-	s.ops.Append(sb.String())
-}
-
-// trace records one processed-op line in deterministic mode.
-func (s *Session) trace(mu Mutation, applied bool) {
-	if !s.det {
-		return
-	}
-	eng := s.mt.Engine()
-	var sb strings.Builder
-	sb.WriteString("m seq=")
-	sb.WriteString(strconv.FormatUint(s.seq, 10))
-	sb.WriteByte(' ')
-	if !applied {
-		sb.WriteString("reject ")
-	}
-	sb.WriteString(formatOp(mu))
-	sb.WriteString(" n=")
-	sb.WriteString(strconv.Itoa(eng.N()))
-	sb.WriteString(" max=")
-	sb.WriteString(strconv.Itoa(eng.Max()))
-	s.ops.Append(sb.String())
 }
 
 // publish refreshes both published views; session construction and

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,16 +16,19 @@ import (
 	"repro/internal/geom"
 	"repro/internal/oracle"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
-// TestStressConcurrentMixed hammers one deterministic session with
+// TestStressConcurrentMixed hammers one WAL-backed session with
 // concurrent clients issuing a 90/10 read/mutation mix (run under -race
-// by `make check` and CI), checking snapshot invariants on every read.
-// Afterwards the recorded trace is cross-checked two ways:
+// by `make check` and CI), checking snapshot invariants on every read and
+// recording the session's (seq, n, max) after every batch. Afterwards
+// the write-ahead log is recovered into fresh managers and cross-checked
+// against the live run, batch by batch:
 //
-//  1. replayed twice through fresh pipelines and compared byte-for-byte
-//     (oracle.ReplayText), and against the original recording;
-//  2. replayed through a pipeline whose engine is the oracle's
+//  1. recovered twice and compared byte-for-byte (oracle.ReplayText),
+//     and against the live run's rows and final state;
+//  2. recovered through a pipeline whose engine is the oracle's
 //     naive-shadowed DiffEvaluator, with a full shadow verification after
 //     every batch.
 func TestStressConcurrentMixed(t *testing.T) {
@@ -31,7 +36,12 @@ func TestStressConcurrentMixed(t *testing.T) {
 		clients = 8
 		iters   = 300
 	)
-	mgr := serve.NewManager(serve.Config{Shards: 4, QueueCap: 4096, Deterministic: true})
+	dir := t.TempDir()
+	st := openStore(t, dir, store.SyncNone)
+	defer st.Close()
+	rows := &batchRows{}
+	mgr := serve.NewManager(serve.Config{Shards: 4, QueueCap: 4096, Store: st, AfterBatch: rows.after})
+	rows.m = mgr
 	defer mgr.Close(context.Background())
 
 	rng := rand.New(rand.NewSource(42))
@@ -96,22 +106,26 @@ func TestStressConcurrentMixed(t *testing.T) {
 	if applied == 0 {
 		t.Fatal("stress run applied nothing")
 	}
-	recorded := s.TraceText()
+	live := rows.text() + snapKey(s.Snapshot()) + "\n"
+	// The manager's drain writes final checkpoints, so recovery runs on
+	// copies of the directory taken now, while it holds only the WAL.
+	recorded := t.TempDir()
+	copyCrashDir(t, dir, recorded, math.MaxInt64)
 
-	// (1) Byte-identical replay, and identical to the live recording.
-	replayed, err := oracle.ReplayText(func() string { return replayTrace(t, recorded, nil, nil) })
+	// (1) Byte-identical replay, and identical to the live run.
+	replayed, err := oracle.ReplayText(func() string { return recoverStress(t, recorded, len(rows.rows), nil, nil) })
 	if err != nil {
 		t.Fatalf("replay nondeterministic: %v", err)
 	}
-	if err := oracle.DiffText(recorded, replayed); err != nil {
-		t.Fatalf("replay diverged from live recording: %v", err)
+	if err := oracle.DiffText(live, replayed); err != nil {
+		t.Fatalf("replay diverged from the live run: %v", err)
 	}
 
 	// (2) Shadow-checked replay through the oracle's DiffEvaluator.
 	var verifyErr error
-	shadow := replayTrace(t, recorded,
+	shadow := recoverStress(t, recorded, len(rows.rows),
 		func(pts []geom.Point) dynamic.Engine { return oracle.NewDiffEvaluator(pts) },
-		func(_ string, eng dynamic.Engine) {
+		func(eng dynamic.Engine) {
 			if verifyErr == nil {
 				verifyErr = eng.(*oracle.DiffEvaluator).Verify()
 			}
@@ -119,10 +133,31 @@ func TestStressConcurrentMixed(t *testing.T) {
 	if verifyErr != nil {
 		t.Fatalf("shadow verification failed during replay: %v", verifyErr)
 	}
-	if err := oracle.DiffText(recorded, shadow); err != nil {
+	if err := oracle.DiffText(live, shadow); err != nil {
 		t.Fatalf("shadow replay diverged: %v", err)
 	}
 }
+
+// batchRows records the session head after every applied batch, from
+// the AfterBatch hook on the owner goroutine. Each manager it is
+// attached to holds one session, so rows arrive in batch order.
+type batchRows struct {
+	m    *serve.Manager
+	rows []string
+	last uint64
+}
+
+func (r *batchRows) after(id string, _ dynamic.Engine) {
+	s, _ := r.m.Session(id)
+	h := s.Head()
+	if h.Seq == r.last {
+		return // an owner pass that applied no batch
+	}
+	r.last = h.Seq
+	r.rows = append(r.rows, fmt.Sprintf("seq=%d n=%d max=%d", h.Seq, h.N, h.Max))
+}
+
+func (r *batchRows) text() string { return strings.Join(r.rows, "\n") + "\n" }
 
 // randomMutation picks a mutation against currently-live IDs (reads the
 // snapshot for targets, so most ops hit; misses exercise rejection).
@@ -147,35 +182,38 @@ func randomMutation(rng *rand.Rand, snap *serve.Snapshot) serve.Mutation {
 	}
 }
 
-// replayTrace re-executes a recorded session trace through a fresh
-// single-shard deterministic pipeline and returns the new trace. The
-// recorded batch boundaries are replayed exactly (ApplyBatch): the
-// maintainer defers connectivity repair to the batch boundary, so the
-// same ops batched differently would settle on different state.
-func replayTrace(t *testing.T, text string, engine dynamic.EngineFactory, after func(string, dynamic.Engine)) string {
+// recoverStress recovers a copy of the recorded data directory into a
+// fresh single-shard manager and returns its per-batch rows and final
+// state in the live run's format. The copy holds no checkpoint, so every
+// live batch must come back as one replayed WAL batch record. verify,
+// when non-nil, runs after every replayed batch.
+func recoverStress(t *testing.T, recorded string, liveBatches int, engine dynamic.EngineFactory, verify func(dynamic.Engine)) string {
 	t.Helper()
-	pts, batches, err := serve.ParseTraceBatches(text)
-	if err != nil {
-		t.Fatalf("ParseTraceBatches: %v", err)
-	}
-	mgr := serve.NewManager(serve.Config{
-		Shards: 1, QueueCap: 4096, Deterministic: true,
-		Engine: engine, AfterBatch: after,
-	})
-	defer mgr.Close(context.Background())
-	s := mustCreate(t, mgr, "stress", pts)
-	for _, b := range batches {
-		for {
-			_, err := s.ApplyBatch(b)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, serve.ErrQueueFull) {
-				t.Fatalf("replay apply: %v", err)
-			}
-			flush(t, s)
+	dir := t.TempDir()
+	copyCrashDir(t, recorded, dir, math.MaxInt64)
+	st := openStore(t, dir, store.SyncNone)
+	defer st.Close()
+	rows := &batchRows{}
+	after := rows.after
+	if verify != nil {
+		after = func(id string, eng dynamic.Engine) {
+			rows.after(id, eng)
+			verify(eng)
 		}
 	}
-	flush(t, s)
-	return s.TraceText()
+	m := serve.NewManager(serve.Config{Shards: 1, QueueCap: 4096, Store: st, Engine: engine, AfterBatch: after})
+	rows.m = m
+	defer m.Close(context.Background())
+	rs, err := m.Recover(true)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rs.FromCheckpoint != 0 || rs.ReplayedBatches != liveBatches {
+		t.Fatalf("RecoveryStats=%+v, want every one of %d live batches replayed from the WAL", rs, liveBatches)
+	}
+	s, ok := m.Session("stress")
+	if !ok {
+		t.Fatal("stress session not recovered")
+	}
+	return rows.text() + snapKey(s.Snapshot()) + "\n"
 }

@@ -209,7 +209,7 @@ func TestParseCkptName(t *testing.T) {
 		ok   bool
 	}{
 		{ckptName("abc", 7), "abc", 7, true},
-		{ckptName("a-b-c", 1 << 33), "a-b-c", 1 << 33, true},
+		{ckptName("a-b-c", 1<<33), "a-b-c", 1 << 33, true},
 		{"noseq.ckpt", "", 0, false},
 		{"a-00ff.ckpt", "", 0, false}, // seq not 16 digits
 		{"a-000000000000000g.ckpt", "", 0, false},

@@ -109,6 +109,21 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// OpenReadOnly opens an existing data directory for inspection. Scan and
+// LatestCheckpoints work as usual; every write (an append, a torn-tail
+// heal, a missing subdirectory) fails instead of touching the directory.
+// A directory without a wal/ subdirectory is refused rather than
+// initialised.
+func OpenReadOnly(dir string) (*Store, error) {
+	walDir := filepath.Join(dir, "wal")
+	if fi, err := os.Stat(walDir); err != nil {
+		return nil, fmt.Errorf("store: %s is not a data directory: %w", dir, err)
+	} else if !fi.IsDir() {
+		return nil, fmt.Errorf("store: %s is not a data directory: %s is not a directory", dir, walDir)
+	}
+	return Open(Options{Dir: dir, Sync: SyncNone, FS: readOnlyFS{}, Registry: obs.NewRegistry()})
+}
+
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
 

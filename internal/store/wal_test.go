@@ -495,3 +495,52 @@ func TestWALRefusesForeignHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenReadOnly: a read-only handle scans an existing log, but every
+// write fails and leaves the segment as it was; a directory without a
+// wal/ is refused and stays empty.
+func TestOpenReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(testOpts(t, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(Record{Kind: RecordCreate, Session: "a", Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "wal", "00000001.wal")
+	orig, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatalf("OpenReadOnly: %v", err)
+	}
+	var n int
+	if _, err := ro.Scan(func(Record) error { n++; return nil }); err != nil || n != 1 {
+		t.Fatalf("Scan: %d records, %v; want 1", n, err)
+	}
+	if err := ro.Append(Record{Kind: RecordDrop, Session: "a"}); !errors.Is(err, errReadOnly) {
+		t.Fatalf("Append on a read-only store: %v, want errReadOnly", err)
+	}
+	if err := ro.WriteCheckpoint("a", 1, []byte("state")); !errors.Is(err, errReadOnly) {
+		t.Fatalf("WriteCheckpoint on a read-only store: %v, want errReadOnly", err)
+	}
+	ro.Close()
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("read-only handle changed the segment: %d bytes (was %d), %v", len(got), len(orig), err)
+	}
+
+	empty := t.TempDir()
+	if _, err := OpenReadOnly(empty); err == nil {
+		t.Fatal("OpenReadOnly accepted a directory without wal/")
+	}
+	if ents, _ := os.ReadDir(empty); len(ents) != 0 {
+		t.Fatalf("refused directory gained %d entries", len(ents))
+	}
+}

@@ -114,8 +114,8 @@ type Event struct {
 	SubID    uint64
 	Seq      uint64
 	BatchSeq uint64
-	Node     int64  // crossing node (region), receiver (threshold), −1 otherwise
-	Value    int32  // interference value, new max, or Init member count
+	Node     int64 // crossing node (region), receiver (threshold), −1 otherwise
+	Value    int32 // interference value, new max, or Init member count
 	Kind     Kind
 	Flags    uint8
 	Trace    uint64 // distributed trace id of the producing batch; 0 = untraced
@@ -185,8 +185,8 @@ type Hub struct {
 
 	mu       sync.RWMutex
 	matchers map[string]*matcher
-	owner    map[uint64]*matcher   // subscription id → its session matcher
-	sbs      map[*Subscriber]bool  // live subscriber endpoints (queue-depth gauge)
+	owner    map[uint64]*matcher  // subscription id → its session matcher
+	sbs      map[*Subscriber]bool // live subscriber endpoints (queue-depth gauge)
 	nextID   uint64
 	nSubs    int
 

@@ -76,7 +76,8 @@ func DecodeReplSubscribe(p []byte) (ReplSubscribe, error) {
 
 // ReplAck is a decoded MsgReplAck payload: the epoch the follower is
 // following, the cursor it has durably applied through, and the
-// follower's wall clock when the ack was sent. WallNS is the raw
+// follower's wall clock midway between receiving the acked frame and
+// sending the ack. WallNS is the raw
 // material of cross-node clock-offset estimation (cmd/rimtrace): the
 // leader remembers when it sent the records frame whose next-cursor the
 // ack echoes, so ack arrival minus send time is the round trip and
@@ -84,7 +85,7 @@ func DecodeReplSubscribe(p []byte) (ReplSubscribe, error) {
 type ReplAck struct {
 	Epoch  uint64
 	Cursor store.Cursor
-	WallNS int64 // follower wall clock at ack send; 0 from legacy peers
+	WallNS int64 // follower wall clock, receipt/ack midpoint; 0 from legacy peers
 }
 
 // replAckLegacySize is the pre-tracing ack payload (no timestamp);

@@ -343,7 +343,7 @@ func TestWireConcurrentClients(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				if i%10 == 0 {
 					for {
-						_, err := c.Mutate("mix", []serve.Mutation{serve.SetRadius(int64(g*8 + i%8), 0.25)})
+						_, err := c.Mutate("mix", []serve.Mutation{serve.SetRadius(int64(g*8+i%8), 0.25)})
 						if err == nil {
 							break
 						}
