@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench bench-json serve-smoke store-smoke store-overhead wire-smoke wire-gate repl-smoke sub-smoke sub-gate trace-smoke trace-demo obs-overhead phys-smoke repro figures tables cover fuzz fuzz-nightly clean
+.PHONY: all build vet test check bench serve-smoke store-smoke store-overhead wire-smoke wire-gate repl-smoke sub-smoke sub-gate trace-smoke trace-demo obs-overhead phys-smoke repro figures tables cover fuzz fuzz-nightly clean
 
 all: build vet test
 
@@ -26,45 +26,11 @@ check: vet
 		./internal/highway/ ./internal/dynamic/ ./internal/sim/ ./cmd/paperrepro/ \
 		./internal/serve/ ./internal/repl/
 
-# Regenerate every table/figure as benchmarks (the numbers EXPERIMENTS.md
-# records).
+# Regenerate every table/figure as benchmarks. New performance numbers
+# come from rimbench/run.sh (repeated seeded runs with a reported
+# spread); BENCH_1-8.json are frozen single-sample history.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Archive the headline benchmarks as JSON. BENCH selects the output file
-# (BENCH_$(BENCH).json), so successive PRs archive side by side:
-#   BENCH=1  evaluator-rework numbers (the default regex's first five)
-#   BENCH=2  + the serving-layer mixed-workload numbers
-#   BENCH=3  + the durability numbers (WAL append, crash recovery)
-#   BENCH=4  + the binary wire protocol (codec, RTT, pipelined mixed
-#            workload) and the rimload open-loop latency profile
-#            (p50/p99/p999 under Poisson arrivals)
-#   BENCH=5  + end-to-end WAL replication throughput over a loopback
-#            feed (leader apply + stream + follower apply, per mutation)
-#   BENCH=6  + the standing-subscription numbers: matcher pass cost vs
-#            pool size, waypoint mobility stepping, and the rimlive
-#            end-to-end update→notify latency profile (p50/p99/p999
-#            under continuous churn with 1200 live subscriptions)
-#   BENCH=7  + the distributed-tracing numbers: rimlive update→notify
-#            latency broken out per predicate kind (threshold/region/
-#            max p50+p99) and per-stage server-side percentiles
-#            (queue/coalesce/wal/apply/publish µs) from the always-on
-#            flight recorder
-#   BENCH=8  + the physical-model (SINR) evaluator: incremental
-#            SetRadius deltas over the far-field neighborhood at n=4096
-#            (the hot path of annealing and serving under -measure=sinr)
-# e.g. `make bench-json BENCH=8`.
-BENCH ?= 1
-BENCH_REGEX ?= BenchmarkAnnealEvaluator|BenchmarkAnnealRecompute|BenchmarkDynamicEvents|BenchmarkExactSearch|BenchmarkAblationIncremental|BenchmarkServeMixed|BenchmarkServeHTTPMixed|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkServeWireMixed|BenchmarkWireCodec|BenchmarkWireRTT|BenchmarkReplThroughput|BenchmarkPhysEvaluator
-RIMLOAD_PROFILE ?= smoke
-RIMLIVE_PROFILE ?= bench
-bench-json:
-	( $(GO) test -run=xxx -bench='$(BENCH_REGEX)' -benchtime=1x . ; \
-	  $(GO) test -run=xxx -bench='BenchmarkSubMatch|BenchmarkMobilityStep' -benchtime=1x \
-	    ./internal/sub/ ./internal/mobility/ ; \
-	  $(GO) run ./cmd/rimload -self -profile $(RIMLOAD_PROFILE) -bench-line ; \
-	  $(GO) run ./cmd/rimlive -self -profile $(RIMLIVE_PROFILE) -bench-line ) \
-		| $(GO) run ./cmd/benchjson > BENCH_$(BENCH).json && cat BENCH_$(BENCH).json
 
 # End-to-end daemon smoke: boot rimd on a random port, run a scripted
 # HTTP client session, scrape /metrics, SIGTERM, assert a clean drain.

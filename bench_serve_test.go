@@ -6,8 +6,8 @@ package rim_test
 // native API — lock-free snapshot reads against the single-writer batch
 // applier — which is the serving layer's own cost; BenchmarkServeHTTPMixed
 // wraps the same workload in real HTTP round-trips, so the delta between
-// the two is pure net/http stack. Both land in BENCH_2.json via
-// `make bench-json BENCH=2`.
+// the two is pure net/http stack. Their single-sample numbers are
+// frozen in BENCH_2.json.
 
 import (
 	"encoding/json"

@@ -1,7 +1,7 @@
 package rim_test
 
-// Durability-layer benchmarks, archived in BENCH_3.json via
-// `make bench-json BENCH=3`:
+// Durability-layer benchmarks (single-sample numbers frozen in
+// BENCH_3.json):
 //
 //   - BenchmarkWALAppend: raw framed-record append throughput per fsync
 //     policy — the cost every acknowledged mutation batch pays;

@@ -356,9 +356,6 @@ func BenchmarkX8Maintainer(b *testing.B) {
 
 // BenchmarkAnnealEvaluator measures the incremental-evaluator annealer
 // on a large instance — the headline number for the evaluator rework.
-// Compare the iters/s metric with BenchmarkAnnealRecompute, the seed's
-// recompute-everything annealer kept as opt.AnnealFull: the target is a
-// ≥10× throughput gap at this size.
 func BenchmarkAnnealEvaluator(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := gen.UniformSquare(rng, 4096, 12)
@@ -390,21 +387,6 @@ func BenchmarkPhysEvaluator(b *testing.B) {
 		ev.SetRadius(rng.Intn(len(pts)), 0.2+rng.Float64())
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "setradius/s")
-}
-
-// BenchmarkAnnealRecompute is the ablation baseline for
-// BenchmarkAnnealEvaluator: same instance, same walk, but every move
-// re-derives feasibility from a materialized mutual graph and
-// interference from a fresh evaluation.
-func BenchmarkAnnealRecompute(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := gen.UniformSquare(rng, 4096, 12)
-	const iters = 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt.AnnealFull(pts, rand.New(rand.NewSource(int64(i))), iters)
-	}
-	b.ReportMetric(float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
 }
 
 // BenchmarkDynamicEvents measures maintainer throughput under churn at

@@ -1,7 +1,7 @@
 package rim_test
 
-// Wire-protocol benchmarks, archived in BENCH_4.json via
-// `make bench-json BENCH=4`:
+// Wire-protocol benchmarks (single-sample numbers frozen in
+// BENCH_4.json):
 //
 //   - BenchmarkServeWireMixed: the BENCH_2 acceptance workload (90%
 //     summary reads / 10% set-radius mutations, n=4096, 8 clients)
@@ -153,8 +153,8 @@ func BenchmarkWireCodec(b *testing.B) {
 	buf := make([]byte, 0, len(frame))
 	decoded := make([]serve.Mutation, 0, 4)
 	// One untimed round first: the reader grows its payload buffer on
-	// the first Next, and -benchtime=1x archives (bench-json) would
-	// otherwise record that one-off as the steady-state allocs/op.
+	// the first Next, and a -benchtime=1x run would otherwise record
+	// that one-off as the steady-state allocs/op.
 	if _, _, err := r.Next(); err != nil {
 		b.Fatal(err)
 	}

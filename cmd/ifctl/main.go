@@ -13,7 +13,8 @@
 //	ifctl profile  -family uniform -n 120 -alg GreedyI
 //	    full quality profile: both measures, degree, stretch, energy
 //	ifctl stats    -family clustered -n 200
-//	    instance geometry: extent, hull, density, closest pair, Δ, γ
+//	    instance geometry: extent, hull, density, closest pair, Δ; on a
+//	    highway also γ, its Lemma 5.5 bound and the |C_v| distribution
 //	ifctl dump     -family gadget -n 120
 //	    emit the instance as CSV (replayable via internal/encode)
 //	ifctl svg      -family gadget -n 36 -alg NNF > gadget.svg
@@ -21,24 +22,35 @@
 //	ifctl phys     -family gadget -n 12 -iters 6000
 //	    anneal under the graph and the physical (SINR) measure, score
 //	    both optima under both measures
+//	ifctl dist     -family highway -n 300 -side 30
+//	    run the distributed protocols on the synchronous runtime:
+//	    rounds, messages, and a check against the centralized output
+//	ifctl highway  -n 2048 -side 50 -iters 2000
+//	    Linear, A_gen and A_apx on the random highway families
+//	    (uniform, bursty, expfrag) against √Δ and the Ω(√γ) bound
+//	ifctl spacing  -family highway -n 2000 -side 50
+//	    sweep A_gen's hub spacing around the paper's ⌈√Δ⌉
 //	ifctl log-dump -data /var/lib/rimd
 //	    print a rimd data directory's write-ahead log (one line per
 //	    record, each batch's ops beneath it) and checkpoints, read-only
 //
 // Families: uniform, clustered, highway, expchain, gadget (T4.1),
-// figure1.
+// figure1. The 1-D subcommands highway and spacing default to
+// -family highway.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/encode"
+	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/highway"
@@ -71,14 +83,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	family := fs.String("family", "uniform", "instance family: uniform|clustered|highway|expchain|gadget|figure1")
+	defFamily := "uniform"
+	if cmd == "highway" || cmd == "spacing" {
+		defFamily = "highway"
+	}
+	family := fs.String("family", defFamily, "instance family: uniform|clustered|highway|expchain|gadget|figure1")
 	n := fs.Int("n", 100, "node count (expchain <= 44; gadget rounds to a multiple of 3)")
 	side := fs.Float64("side", 4, "square side / highway length")
 	seed := fs.Int64("seed", 1, "instance seed")
 	alg := fs.String("alg", "MST", "algorithm name for measure/profile/svg (see 'compare' output)")
 	csv := fs.Bool("csv", false, "emit CSV")
 	heat := fs.Bool("heat", false, "overlay the interference heatmap in 'svg' output")
-	iters := fs.Int("iters", 0, "annealing iterations for 'phys' (0 = 400·n)")
+	iters := fs.Int("iters", 0, "annealing iterations for 'phys' (0 = 400·n) and 'highway' (0 = skip the bound)")
 	var ocli obs.CLI
 	ocli.AddFlags(fs)
 	if err := fs.Parse(args[1:]); err != nil {
@@ -110,6 +126,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		instanceStats(stdout, pts)
 	case "phys":
 		physCompare(stdout, pts, *seed, *iters, *csv)
+	case "dist":
+		distCosts(stdout, *family, pts)
+	case "highway":
+		if *family != "highway" {
+			fmt.Fprintf(stderr, "ifctl: highway draws the random highway families itself; -family must be highway (got %q)\n", *family)
+			return 2
+		}
+		highwayCompare(stdout, *n, *side, *seed, *iters)
+	case "spacing":
+		if err := highway.Validate(pts); err != nil {
+			fmt.Fprintln(stderr, "ifctl: spacing needs a 1-D instance (-family highway or expchain):", err)
+			return 2
+		}
+		spacingSweep(stdout, pts)
 	case "svg":
 		a, ok := findAlg(*alg)
 		if !ok {
@@ -133,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: ifctl <compare|measure|optimal|profile|stats|dump|svg|phys|log-dump> [flags]
+	fmt.Fprintln(w, `usage: ifctl <compare|measure|optimal|profile|stats|dump|svg|phys|dist|highway|spacing|log-dump> [flags]
   compare  run the full topology-control zoo and tabulate interference
   measure  per-node interference report for one algorithm (-alg)
   optimal  exact minimum-interference topology (small instances)
@@ -142,6 +172,9 @@ func usage(w io.Writer) {
   dump     emit the generated instance as CSV
   svg      render the instance + topology (-alg) with interference disks
   phys     anneal under graph and physical (SINR) measures, score both ways
+  dist     distributed protocols: rounds, messages, match with centralized
+  highway  Linear/A_gen/A_apx on random highway families (-iters: anneal bound)
+  spacing  A_gen hub-spacing sweep on a 1-D instance
   log-dump print a rimd data directory's WAL and checkpoints (-data DIR)
 run "ifctl compare -h" for flags`)
 }
@@ -173,7 +206,21 @@ func logDump(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// makeInstance draws the -family instance. Out-of-range parameters are
+// errors, not generator panics: a negative -n, an expchain outside
+// [1, gen.MaxExpChainN], a figure1 below 3 nodes, or a -side that is not
+// a positive finite number.
 func makeInstance(family string, n int, side float64, seed int64) ([]geom.Point, error) {
+	switch {
+	case n < 0:
+		return nil, fmt.Errorf("-n must be >= 0 (got %d)", n)
+	case family == "expchain" && (n < 1 || n > gen.MaxExpChainN):
+		return nil, fmt.Errorf("expchain needs 1 <= -n <= %d (got %d)", gen.MaxExpChainN, n)
+	case family == "figure1" && n < 3:
+		return nil, fmt.Errorf("figure1 needs -n >= 3 (got %d)", n)
+	case math.IsNaN(side) || math.IsInf(side, 0) || side <= 0:
+		return nil, fmt.Errorf("-side must be a positive finite number (got %v)", side)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	switch family {
 	case "uniform":
@@ -347,7 +394,78 @@ func instanceStats(stdout io.Writer, pts []geom.Point) {
 	t.AddRowf("UDG max degree Δ", udg.MaxDegree(pts, udg.Radius))
 	if highway.Validate(pts) == nil && len(pts) >= 2 {
 		gamma, at := highway.Gamma(pts)
-		t.AddRowf("γ (highway, Def 5.2)", fmt.Sprintf("%d at node %d", gamma, at))
+		cs := highway.CriticalSet(pts, at)
+		// |C_v| is v's interference under the linear topology.
+		iv := core.Interference(pts, highway.Linear(pts))
+		t.AddRowf("γ (highway, Def 5.2)", fmt.Sprintf("%d at node %d (x=%.4g)", gamma, at, pts[at].X))
+		t.AddRowf("Lemma 5.5 lower bound on OPT", highway.GammaLowerBound(gamma))
+		t.AddRowf("critical set C_v at γ", fmt.Sprintf("%d nodes %v", len(cs), cs))
+		t.AddRowf("|C_v| distribution", stats.Summarize(stats.IntsToFloats(iv)).String())
+	}
+	t.Render(stdout)
+}
+
+// distCosts runs every distributed protocol that applies to pts (A_gen
+// only on highways) on the synchronous runtime, next to exp.DistCostX11
+// which uses the same protocol list.
+func distCosts(stdout io.Writer, family string, pts []geom.Point) {
+	t := tablefmt.New(
+		fmt.Sprintf("Distributed protocols on %s (%s)", family, gen.Describe(pts)),
+		"protocol", "rounds", "messages", "edges", "recv_I", "matches_centralized")
+	for _, p := range exp.DistProtocols(pts) {
+		rt, got, match := exp.RunDist(pts, p)
+		t.AddRowf(p.Name, rt.Rounds, rt.Messages, got.M(), core.Interference(pts, got).Max(), match)
+	}
+	t.Render(stdout)
+}
+
+// highwayCompare draws three random highway families of length side from
+// one seeded stream and tabulates Linear, A_gen and A_apx against √Δ and
+// the Lemma 5.5 bound. With iters > 0 each family also gets an annealed
+// upper bound on the optimum, drawn from the same stream.
+func highwayCompare(stdout io.Writer, n int, side float64, seed int64, iters int) {
+	rng := rand.New(rand.NewSource(seed))
+	families := []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"uniform", gen.HighwayUniform(rng, n, side)},
+		{"bursty", gen.HighwayBursty(rng, n, 1+n/64, side, 0.3)},
+		{"expfrag", gen.HighwayExpFragments(rng, 1+n/50, 8, side)},
+	}
+	t := tablefmt.New(
+		fmt.Sprintf("Random highway instances (n=%d, len=%.0f, seed=%d)", n, side, seed),
+		"family", "delta", "gamma", "I_lin", "I_agen", "I_apx", "branch", "sqrt_delta", "lb_sqrt_gamma2", "anneal_ub")
+	for _, f := range families {
+		delta := udg.MaxDegree(f.pts, udg.Radius)
+		gamma, _ := highway.Gamma(f.pts)
+		lin := core.Interference(f.pts, highway.Linear(f.pts)).Max()
+		agen := core.Interference(f.pts, highway.AGen(f.pts)).Max()
+		gApx, branch := highway.AApxExplain(f.pts)
+		apx := core.Interference(f.pts, gApx).Max()
+		annCell := "-"
+		if iters > 0 {
+			annCell = fmt.Sprintf("%d", opt.Anneal(f.pts, rng, iters).Interference)
+		}
+		t.AddRowf(f.name, delta, gamma, lin, agen, apx, branch,
+			math.Sqrt(float64(delta)), highway.GammaLowerBound(gamma), annCell)
+	}
+	t.Render(stdout)
+}
+
+// spacingSweep sweeps A_gen's hub spacing around the paper's ⌈√Δ⌉:
+// spacing 1 degenerates to the linear chain, spacing Δ concentrates all
+// regular nodes on one hub per segment.
+func spacingSweep(stdout io.Writer, pts []geom.Point) {
+	delta := udg.MaxDegree(pts, udg.Radius)
+	sqrtD := int(math.Ceil(math.Sqrt(float64(delta))))
+	t := tablefmt.New(
+		fmt.Sprintf("A_gen hub-spacing ablation (n=%d, Δ=%d, paper's choice ⌈√Δ⌉=%d)", len(pts), delta, sqrtD),
+		"spacing", "I_agen", "I/sqrt_delta")
+	for _, sp := range []int{1, sqrtD / 2, sqrtD, 2 * sqrtD, delta} {
+		sp = max(sp, 1)
+		got := core.Interference(pts, highway.AGenSpacing(pts, sp)).Max()
+		t.AddRowf(sp, got, float64(got)/math.Sqrt(float64(delta)))
 	}
 	t.Render(stdout)
 }

@@ -7,7 +7,7 @@
 //
 //	rimlive -addr 127.0.0.1:8087                  # against a running rimd -wire-addr
 //	rimlive -self -profile smoke                  # boots an in-process server, short sanity run
-//	rimlive -self -profile bench -bench-line      # n=4096, 1200 subs, benchjson-parsable line
+//	rimlive -self -profile bench -bench-line      # n=4096, 1200 subs, go-test-bench shaped line
 //
 // Latency attribution works off the session's mutation sequence: rimlive
 // is the session's only writer and issues one Move per frame, so the
@@ -15,8 +15,8 @@
 // names the last move of the batch that produced it. The issue time of
 // each move is kept in a ring indexed by sequence; an event's latency is
 // the gap between its arrival and that timestamp. With -bench-line the
-// final line is formatted like `go test -bench` output so `make
-// bench-json BENCH=6` can archive the numbers:
+// final line is formatted like `go test -bench` output (`make sub-gate`
+// runs it this way; cmd/benchjson parses it):
 //
 //	BenchmarkRimlive/profile=bench 18423 731842 ns/op 1842.3 events/s 0.41 p50_ms ...
 package main

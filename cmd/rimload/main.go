@@ -7,16 +7,12 @@
 //
 //	rimload -addr 127.0.0.1:8087                  # against a running rimd -wire-addr
 //	rimload -self -profile smoke                  # boots an in-process server, 3s sanity run
-//	rimload -self -profile full -bench-line       # 30s saturation run, benchjson-parsable line
+//	rimload -self -profile full                   # 30s saturation run
 //
 // The mixed workload is read-frac summary reads against single-op
 // SetRadius mutate frames; because each mutation rides its own pipelined
 // frame, the server's batch accumulation and owner-side coalescing are
-// both on the measured path. With -bench-line the final line is
-// formatted like `go test -bench` output so `make bench-json BENCH=4`
-// can archive rimload results next to the in-process benchmarks:
-//
-//	BenchmarkRimload/profile=smoke 59881 50123 ns/op 19958 ops/s 0.04 p50_ms ...
+// both on the measured path.
 package main
 
 import (
@@ -70,19 +66,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rimload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "", "rimwire server address (required unless -self)")
-		self      = fs.Bool("self", false, "boot an in-process manager + wire server on loopback and load that")
-		prof      = fs.String("profile", "smoke", "run shape: smoke or full")
-		rate      = fs.Float64("rate", 0, "target arrival rate in ops/s (0 = profile default)")
-		duration  = fs.Duration("duration", 0, "run length (0 = profile default)")
-		conns     = fs.Int("conns", 0, "client connections (0 = profile default)")
-		readFrac  = fs.Float64("read-frac", -1, "fraction of ops that are summary reads (-1 = profile default)")
-		n         = fs.Int("n", 0, "session size created via CreateGen (0 = profile default)")
-		seed      = fs.Int64("seed", 1, "RNG seed for arrivals and op mix")
-		session   = fs.String("session", "rimload", "session id to create and load")
-		crc       = fs.Bool("crc", false, "enable per-frame CRC32-C on the connection")
-		trace     = fs.Bool("trace", false, "negotiate trace-context extensions and stamp every mutate frame with a fresh sampled trace")
-		benchLine = fs.Bool("bench-line", false, "emit a go-test-bench formatted result line for benchjson")
+		addr     = fs.String("addr", "", "rimwire server address (required unless -self)")
+		self     = fs.Bool("self", false, "boot an in-process manager + wire server on loopback and load that")
+		prof     = fs.String("profile", "smoke", "run shape: smoke or full")
+		rate     = fs.Float64("rate", 0, "target arrival rate in ops/s (0 = profile default)")
+		duration = fs.Duration("duration", 0, "run length (0 = profile default)")
+		conns    = fs.Int("conns", 0, "client connections (0 = profile default)")
+		readFrac = fs.Float64("read-frac", -1, "fraction of ops that are summary reads (-1 = profile default)")
+		n        = fs.Int("n", 0, "session size created via CreateGen (0 = profile default)")
+		seed     = fs.Int64("seed", 1, "RNG seed for arrivals and op mix")
+		session  = fs.String("session", "rimload", "session id to create and load")
+		crc      = fs.Bool("crc", false, "enable per-frame CRC32-C on the connection")
+		trace    = fs.Bool("trace", false, "negotiate trace-context extensions and stamp every mutate frame with a fresh sampled trace")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -157,13 +152,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rimload: first error: %v\n", res.firstErr)
 		return 1
 	}
-	if *benchLine {
-		// Shaped exactly like a `go test -bench` line so cmd/benchjson
-		// parses it: name, run count, then value/unit pairs.
-		fmt.Fprintf(stdout, "BenchmarkRimload/profile=%s %d %.0f ns/op %.1f ops/s %.4f p50_ms %.4f p99_ms %.4f p999_ms %.1f backpressure\n",
-			*prof, res.completed, res.meanNs, res.achieved,
-			res.pct(0.50), res.pct(0.99), res.pct(0.999), float64(res.backpressure))
-	}
 	return 0
 }
 
@@ -172,7 +160,6 @@ type result struct {
 	completed    int
 	elapsed      time.Duration
 	achieved     float64 // completed ops per second of wall time
-	meanNs       float64
 	backpressure int
 	errors       int
 	firstErr     error
@@ -274,7 +261,6 @@ func drive(c *wire.Client, session string, p profile, seed int64, traced bool) r
 
 	var res result
 	res.elapsed = elapsed
-	var sum int64
 	for i := 0; i < collectors; i++ {
 		res.sortedNs = append(res.sortedNs, lats[i]...)
 		res.backpressure += bps[i]
@@ -284,12 +270,8 @@ func drive(c *wire.Client, session string, p profile, seed int64, traced bool) r
 		}
 	}
 	sort.Slice(res.sortedNs, func(a, b int) bool { return res.sortedNs[a] < res.sortedNs[b] })
-	for _, ns := range res.sortedNs {
-		sum += ns
-	}
 	res.completed = len(res.sortedNs)
 	if res.completed > 0 {
-		res.meanNs = float64(sum) / float64(res.completed)
 		res.achieved = float64(res.completed) / elapsed.Seconds()
 	}
 	// Keep percentile math honest if a clock hiccup produced a negative

@@ -19,7 +19,7 @@ import (
 //
 // The hub spacing ⌈√Δ⌉ needs the global maximum degree; in a deployment
 // it is computed once by an aggregation flood, so the protocol takes it
-// as a parameter (AGenSpacingOf derives it from the instance). AnchorX
+// as a parameter (exp.DistProtocols derives it from the instance). AnchorX
 // is the segment-grid origin — the paper anchors at the leftmost node;
 // pass the instance minimum.
 type AGenNode struct {

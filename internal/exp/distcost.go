@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -9,10 +10,65 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/highway"
 	"repro/internal/mobility"
 	"repro/internal/tablefmt"
 	"repro/internal/topology"
+	"repro/internal/udg"
 )
+
+// DistProtocol pairs a distributed protocol with the centralized
+// construction its output must equal edge for edge.
+type DistProtocol struct {
+	Name        string
+	Factory     func() dist.Node
+	Centralized func([]geom.Point) *graph.Graph
+}
+
+// DistProtocols returns the distributed protocols that apply to pts: the
+// five 2-D constructions, plus A_gen when pts is a non-empty highway
+// instance. A_gen's hub spacing ⌈√Δ⌉ and segment anchor (the leftmost
+// node) are derived from pts, as the aggregation flood of a deployment
+// would.
+func DistProtocols(pts []geom.Point) []DistProtocol {
+	protos := []DistProtocol{
+		{"XTC", dist.NewXTCNode, topology.XTC},
+		{"NNF", dist.NewNNFNode, topology.NNF},
+		{"LMST", dist.NewLMSTNode, topology.LMST},
+		{"GG", dist.NewGGNode, topology.GG},
+		{"RNG", dist.NewRNGNode, topology.RNG},
+	}
+	if highway.Validate(pts) != nil || len(pts) == 0 {
+		return protos
+	}
+	sp := int(math.Ceil(math.Sqrt(float64(udg.MaxDegree(pts, udg.Radius)))))
+	if sp < 1 {
+		sp = 1
+	}
+	return append(protos, DistProtocol{
+		"AGen",
+		dist.NewAGenNode(sp, pts[0].X),
+		func(p []geom.Point) *graph.Graph { return highway.AGenSpacing(p, sp) },
+	})
+}
+
+// RunDist runs p on pts over the synchronous runtime (at most 16 rounds)
+// and reports the runtime's cost counters, the topology it built, and
+// whether that topology equals p's centralized construction.
+func RunDist(pts []geom.Point, p DistProtocol) (rt *dist.Runtime, got *graph.Graph, matches bool) {
+	rt = dist.NewRuntime(pts, p.Factory)
+	got = rt.Run(16)
+	want := p.Centralized(pts)
+	if got.M() != want.M() {
+		return rt, got, false
+	}
+	for _, e := range want.Edges() {
+		if !got.HasEdge(e.U, e.V) {
+			return rt, got, false
+		}
+	}
+	return rt, got, true
+}
 
 // DistCostX11 tabulates the distributed protocols' costs (rounds,
 // messages per node) and confirms each output matches its centralized
@@ -24,31 +80,9 @@ func DistCostX11(seed int64, n int) *tablefmt.Table {
 	t := tablefmt.New(
 		fmt.Sprintf("X11: distributed protocol costs (uniform 2-D, n=%d)", n),
 		"protocol", "rounds", "msgs_per_node", "edges", "recv_I", "matches_centralized")
-	protos := []struct {
-		name        string
-		factory     func() dist.Node
-		centralized func([]geom.Point) *graph.Graph
-	}{
-		{"XTC", dist.NewXTCNode, topology.XTC},
-		{"NNF", dist.NewNNFNode, topology.NNF},
-		{"LMST", dist.NewLMSTNode, topology.LMST},
-		{"GG", dist.NewGGNode, topology.GG},
-		{"RNG", dist.NewRNGNode, topology.RNG},
-	}
-	for _, p := range protos {
-		rt := dist.NewRuntime(pts, p.factory)
-		got := rt.Run(16)
-		want := p.centralized(pts)
-		match := got.M() == want.M()
-		if match {
-			for _, e := range want.Edges() {
-				if !got.HasEdge(e.U, e.V) {
-					match = false
-					break
-				}
-			}
-		}
-		t.AddRowf(p.name, rt.Rounds, float64(rt.Messages)/float64(n), got.M(),
+	for _, p := range DistProtocols(pts) {
+		rt, got, match := RunDist(pts, p)
+		t.AddRowf(p.Name, rt.Rounds, float64(rt.Messages)/float64(n), got.M(),
 			core.Interference(pts, got).Max(), match)
 	}
 	return t

@@ -417,8 +417,8 @@ func RealizeForest(pts []geom.Point, radii []float64) *graph.Graph {
 // subgraph of the UDG whose partition already equals the UDG's cannot
 // change the partition. Decreases run through the grid-backed union-find
 // checker. AnnealFull is the original recompute-everything implementation
-// kept for the ablation benchmarks; both draw identically from rng, so
-// they walk the same move sequence.
+// kept as the test reference; both draw identically from rng, so they
+// walk the same move sequence.
 func Anneal(pts []geom.Point, rng *rand.Rand, iters int) Result {
 	return AnnealWith(core.GraphMeasure, pts, rng, iters)
 }
@@ -519,9 +519,9 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 
 // AnnealFull is the pre-evaluator reference implementation of Anneal: it
 // rebuilds the mutual-reachability graph and re-evaluates interference
-// from scratch on every move. Kept verbatim for the ablation benchmarks
-// (BenchmarkAnnealRecompute vs BenchmarkAnnealEvaluator) and for
-// cross-checking the incremental path; prefer Anneal everywhere else.
+// from scratch on every move. Kept verbatim as the reference walk that
+// TestAnnealMatchesAnnealFull and TestAnnealWalksMatch check the
+// incremental path against; prefer Anneal everywhere else.
 func AnnealFull(pts []geom.Point, rng *rand.Rand, iters int) Result {
 	n := len(pts)
 	if n == 0 {
