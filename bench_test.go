@@ -22,6 +22,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/highway"
 	"repro/internal/opt"
+	"repro/internal/oracle"
 	"repro/internal/phys"
 	"repro/internal/planar"
 	"repro/internal/schedule"
@@ -228,7 +229,7 @@ func BenchmarkAblationGrid(b *testing.B) {
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.InterferenceNaive(pts, radii)
+			oracle.Interference(pts, radii)
 		}
 	})
 }

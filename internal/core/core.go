@@ -118,24 +118,6 @@ func InterferenceRadii(pts []geom.Point, radii []float64) Vector {
 	return accumulateInterference(grid, pts, radii, 1, nil)
 }
 
-// InterferenceNaive is the O(n²) reference evaluator used by tests to
-// cross-validate the grid-accelerated path.
-func InterferenceNaive(pts []geom.Point, radii []float64) Vector {
-	iv := make(Vector, len(pts))
-	for u := range pts {
-		r := radii[u]
-		if r <= 0 {
-			continue
-		}
-		for v := range pts {
-			if v != u && geom.InDisk(pts[u], r, pts[v]) {
-				iv[v]++
-			}
-		}
-	}
-	return iv
-}
-
 // CoveredBy returns the indices of the nodes whose disks cover v under
 // topology g (the witnesses behind I(v)), excluding v itself, in
 // ascending order.
@@ -143,7 +125,7 @@ func InterferenceNaive(pts []geom.Point, radii []float64) Vector {
 // The query is grid-accelerated like InterferenceRadii: every covering
 // node is within r_max of v, so one range query bounded by the largest
 // radius finds all candidates — O(|D(v, r_max) ∩ V|) instead of a full
-// scan. CoveredByNaive is the O(n) reference kept for cross-validation.
+// scan. oracle.CoveredBy is the O(n) reference.
 func CoveredBy(pts []geom.Point, g *graph.Graph, v int) []int {
 	radii := Radii(pts, g)
 	maxR := 0.0
@@ -163,19 +145,6 @@ func CoveredBy(pts []geom.Point, g *graph.Graph, v int) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-// CoveredByNaive is the O(n) reference implementation of CoveredBy, used
-// by tests to cross-validate the grid-accelerated path.
-func CoveredByNaive(pts []geom.Point, g *graph.Graph, v int) []int {
-	radii := Radii(pts, g)
-	var out []int
-	for u := range pts {
-		if u != v && radii[u] > 0 && geom.InDisk(pts[u], radii[u], pts[v]) {
-			out = append(out, u)
-		}
-	}
 	return out
 }
 

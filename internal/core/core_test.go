@@ -88,22 +88,6 @@ func TestFigure2(t *testing.T) {
 	}
 }
 
-func TestInterferenceMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(150)
-		pts, g := randomInstance(rng, n, 5, 5)
-		radii := Radii(pts, g)
-		fast := InterferenceRadii(pts, radii)
-		slow := InterferenceNaive(pts, radii)
-		for v := range fast {
-			if fast[v] != slow[v] {
-				t.Fatalf("trial %d node %d: fast %d, naive %d", trial, v, fast[v], slow[v])
-			}
-		}
-	}
-}
-
 func TestInterferenceEmptyTopology(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.1, 0), geom.Pt(0.2, 0)}
 	iv := Interference(pts, graph.New(3))
@@ -195,30 +179,6 @@ func TestEdgeCoverageExcludesEndpoints(t *testing.T) {
 	pts = append(pts, geom.Pt(0.5, 0))
 	if c := EdgeCoverage(pts, 0, 1); c != 1 {
 		t.Errorf("coverage = %d, want 1", c)
-	}
-}
-
-func TestCoveredByMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(80)
-		pts, g := randomInstance(rng, n, 4, 4)
-		for v := 0; v < n; v++ {
-			got := CoveredBy(pts, g, v)
-			want := CoveredByNaive(pts, g, v)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d node %d: grid %v, naive %v", trial, v, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d node %d: grid %v, naive %v", trial, v, got, want)
-				}
-			}
-			// The witness list must explain I(v) exactly.
-			if iv := Interference(pts, g); len(got) != iv[v] {
-				t.Fatalf("trial %d node %d: %d witnesses, I(v)=%d", trial, v, len(got), iv[v])
-			}
-		}
 	}
 }
 

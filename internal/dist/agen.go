@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/udg"
 )
 
 // Distributed A_gen — 2 rounds, O(1) words per message.
@@ -145,14 +146,14 @@ func (a *AGenNode) computeLinks(inbox map[int]Message) {
 	if rank == n-1 && len(right) > 0 {
 		sortMembers(right)
 		first := right[0]
-		if first.x-a.pos.X <= 1*(1+1e-9) {
+		if geom.InDisk(a.pos, udg.Radius, geom.Pt(first.x, a.pos.Y)) {
 			a.env.DeclareLink(first.id)
 		}
 	}
 	if rank == 0 && len(left) > 0 {
 		sortMembers(left)
 		last := left[len(left)-1]
-		if a.pos.X-last.x <= 1*(1+1e-9) {
+		if geom.InDisk(a.pos, udg.Radius, geom.Pt(last.x, a.pos.Y)) {
 			a.env.DeclareLink(last.id)
 		}
 	}

@@ -5,8 +5,10 @@
 // The maintainer applies cheap local rules per event and keeps the exact
 // interference bookkeeping incrementally:
 //
-//   - Arrival: the newcomer links to its nearest neighbor (one new edge;
-//     the nearest neighbor raises its radius just enough to answer).
+//   - Arrival: the newcomer links to its nearest neighbor when
+//     geom.InDisk puts it within unit range (one new edge, a udg.Build
+//     edge; the nearest neighbor raises its radius just enough to
+//     answer).
 //     Receiver-centric interference of any existing node grows by at
 //     most 1 from the newcomer's own disk, plus whatever the single
 //     answering radius increase adds — a local, bounded change, exactly
@@ -24,10 +26,16 @@
 // plus an O(n) index shift — never a full re-evaluation. The maintained
 // I(G') is therefore O(1) to read after every event.
 //
-// Drift control: local rules accumulate suboptimality, so the maintainer
-// tracks I(G') incrementally and rebuilds with the greedy constructor
-// when the maintained value exceeds RebuildFactor times the last
-// rebuild's value. The X8-style test measures how rarely that fires.
+// Settling: arrivals, departures and moves latch the connectivity repair
+// and drift check they owe, and one routine pays them — right after the
+// operation, or once at EndBatch under BeginBatch. Every topology edge
+// is a UDG edge, so the repair's crossing-edge scan is also the whole
+// "topology matches the UDG" check. Drift control: local rules
+// accumulate suboptimality, so the maintainer tracks I(G')
+// incrementally and rebuilds with the greedy constructor when the
+// maintained value exceeds RebuildFactor times the last rebuild's value,
+// or when arrivals merged UDG components the topology keeps apart. The
+// X8-style test measures how rarely that fires.
 package dynamic
 
 import (
@@ -94,7 +102,9 @@ func (k EventKind) String() string {
 
 // Event is the notification delivered to OnEvent after each applied
 // operation. Index is the affected node for Insert/Remove/SetRadius
-// (-1 otherwise); Max is the maintained I(G') after the operation.
+// (-1 otherwise); Max is the maintained I(G') after the operation,
+// read before the settle's repair and drift check (a rebuild fires its
+// own EventRebuild).
 type Event struct {
 	Kind  EventKind
 	Index int
@@ -133,9 +143,10 @@ type Maintainer struct {
 	rebuilds int
 	events   int
 
-	// Batch deferral (BeginBatch/EndBatch): while deferring, connectivity
-	// repair and drift control are postponed and latched here, so a batch
-	// of k operations pays for one connectivity pass instead of k.
+	// Settling (see settle): Insert, Remove and Move latch the
+	// connectivity repair and drift check they owe here; settle pays
+	// them at once, or at EndBatch while deferring, so a batch of k
+	// operations pays for one connectivity pass instead of k.
 	deferring  bool
 	needRepair bool
 	needCheck  bool
@@ -296,7 +307,7 @@ func (m *Maintainer) Insert(p geom.Point) int {
 	}
 	m.topo = grown
 	// Nearest in-range neighbor, straight off the evaluator's grid.
-	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && bestD <= udg.Radius*(1+1e-9) {
+	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
 		m.topo.AddEdge(idx, best, bestD)
 		m.eng.SetRadius(idx, bestD)
 		old := m.eng.GrowTo(best, bestD)
@@ -305,8 +316,9 @@ func (m *Maintainer) Insert(p geom.Point) int {
 	// The newcomer's own disk (radius 0 when no neighbor answered —
 	// still a disk: coincident nodes are covered at distance zero).
 	m.touch(p, m.eng.Radius(idx))
+	m.needCheck = true
 	m.fire(Event{Kind: EventInsert, Index: idx, Max: m.eng.Max()})
-	m.maybeRebuild()
+	m.settle()
 	return idx
 }
 
@@ -355,9 +367,9 @@ func (m *Maintainer) Remove(idx int) {
 		ng.AddEdge(remap(e.U), remap(e.V), e.W)
 	}
 	m.topo = ng
-	m.repairConnectivity()
+	m.needRepair, m.needCheck = true, true
 	m.fire(Event{Kind: EventRemove, Index: idx, Max: m.eng.Max()})
-	m.maybeRebuild()
+	m.settle()
 }
 
 // SetRadius overrides node idx's transmission radius through the engine
@@ -446,28 +458,28 @@ func (m *Maintainer) Move(idx int, p geom.Point) {
 	// receiver-side recount, then re-link like an arrival.
 	m.eng.SetRadius(idx, 0)
 	m.eng.MovePoint(idx, p)
-	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && bestD <= udg.Radius*(1+1e-9) {
+	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
 		m.topo.AddEdge(idx, best, bestD)
 		m.eng.SetRadius(idx, bestD)
 		old := m.eng.GrowTo(best, bestD)
 		m.touch(m.points()[best], math.Max(old, bestD))
 	}
 	m.touch(p, m.eng.Radius(idx))
-	m.repairConnectivity()
+	m.needRepair, m.needCheck = true, true
 	m.fire(Event{Kind: EventMove, Index: idx, Max: m.eng.Max()})
-	m.maybeRebuild()
+	m.settle()
 }
 
 // BeginBatch defers connectivity repair and drift control until the
-// matching EndBatch, so a batch of k mutations pays one UDG-sized
-// connectivity pass instead of k (the passes were the dominant cost of
-// sustained churn: each is O(n) even when the operation itself touches a
-// constant-size neighborhood). Interference bookkeeping stays exact
-// throughout — only reconnection and rebuild decisions are postponed, so
-// mid-batch the maintained topology may transiently disagree with the
-// UDG's component structure. With RebuildFactor <= 1 ("rebuild every
-// event") a deferred batch rebuilds once, at EndBatch. Batches do not
-// nest.
+// matching EndBatch, so a batch of k mutations pays one connectivity
+// pass instead of k (each pass labels the whole topology, O(n) even when
+// the operation itself touches a constant-size neighborhood).
+// Interference bookkeeping stays exact throughout — only reconnection and
+// rebuild decisions are postponed, so mid-batch the maintained topology
+// may transiently disagree with the UDG's component structure. Event.Max
+// is read before the settle in and out of a batch alike; with
+// RebuildFactor <= 1 ("rebuild every event") a deferred batch rebuilds
+// once, at EndBatch. Batches do not nest.
 func (m *Maintainer) BeginBatch() {
 	if m.deferring {
 		panic("dynamic: nested BeginBatch")
@@ -475,51 +487,52 @@ func (m *Maintainer) BeginBatch() {
 	m.deferring = true
 }
 
-// EndBatch runs the connectivity repair and drift control deferred since
-// BeginBatch. When the repair ran, the topology's components are known
-// to match the UDG's (repairConnectivity loops until they do), so the
-// drift check skips the redundant connectivity probe and tests only the
-// interference bound.
+// EndBatch settles what the batch's operations deferred since
+// BeginBatch: one connectivity repair and one drift check.
 func (m *Maintainer) EndBatch() {
 	if !m.deferring {
 		panic("dynamic: EndBatch without BeginBatch")
 	}
 	m.deferring = false
-	repaired := m.needRepair
-	m.needRepair = false
-	if repaired {
-		m.repairConnectivity()
-	}
-	if !m.needCheck {
+	m.settle()
+}
+
+// settle pays the connectivity repair and drift check latched by Insert,
+// Remove and Move — at once outside a batch, at EndBatch inside one. Every
+// topology edge is a udg.Build edge (arrivals link within geom.InDisk's
+// unit range, repairs join UDG edges, rebuilds and anneals build UDG
+// subgraphs), so the topology's partition matches the UDG's iff no UDG
+// edge crosses two topology components. A due repair joins the crossing
+// edges; when none is due (only arrivals since the last settle), a
+// crossing edge means an arrival merged two UDG components the topology
+// still keeps apart, and drift control rebuilds.
+func (m *Maintainer) settle() {
+	if m.deferring || !m.needCheck {
 		return
 	}
-	m.needCheck = false
-	if m.RebuildFactor <= 1 {
-		m.rebuild(m.points())
-		return
-	}
-	if float64(m.eng.Max()) > m.RebuildFactor*float64(m.baseline)+1e-9 ||
-		(!repaired && !m.connectivityOK()) {
+	repair := m.needRepair
+	m.needRepair, m.needCheck = false, false
+	split := m.repairConnectivity(repair)
+	if m.RebuildFactor <= 1 || split ||
+		float64(m.eng.Max()) > m.RebuildFactor*float64(m.baseline)+1e-9 {
 		m.rebuild(m.points())
 	}
 }
 
-// repairConnectivity reconnects topology components that the UDG still
-// joins, using the shortest available crossing edge per component pair
-// (iterated until the component structures agree). Every repair edge
-// grows its endpoints' radii through the evaluator, keeping the
-// maintained interference exact. Under BeginBatch the repair is latched
-// for EndBatch instead of running.
-func (m *Maintainer) repairConnectivity() {
-	if m.deferring {
-		m.needRepair = true
-		return
-	}
+// repairConnectivity looks for UDG edges crossing two topology
+// components and reports whether the partitions still differ afterwards.
+// With join unset it only looks, stopping at the first crossing edge.
+// With join set it reconnects the components with the shortest crossing
+// edge per component pair (iterated until the component structures
+// agree), growing every repair edge's endpoint radii through the
+// evaluator so the maintained interference stays exact, and reports
+// false.
+func (m *Maintainer) repairConnectivity(join bool) bool {
 	tl, tk := m.topo.Components()
 	if tk == 1 {
 		// The topology is a subgraph of the UDG, so a connected topology
 		// already matches the UDG partition — no UDG build needed.
-		return
+		return false
 	}
 	// Repeatedly joining the globally shortest UDG edge that crosses two
 	// topology components is Kruskal's algorithm restricted to crossing
@@ -560,15 +573,15 @@ func (m *Maintainer) repairConnectivity() {
 			if tl[v] != giant && v < u {
 				continue // fragment–fragment pair: emitted once, at the lower index
 			}
+			if !join {
+				return true
+			}
 			a, b := u, v
 			if b < a {
 				a, b = b, a
 			}
 			cross = append(cross, graph.Edge{U: a, V: b, W: pts[u].Dist(pts[v])})
 		}
-	}
-	if len(cross) == 0 {
-		return // partitions already agree (UDG is disconnected the same way)
 	}
 	sort.Slice(cross, func(i, j int) bool {
 		a, b := cross[i], cross[j]
@@ -607,24 +620,5 @@ func (m *Maintainer) repairConnectivity() {
 			obsRepairEdges.Inc()
 		}
 	}
-}
-
-func (m *Maintainer) maybeRebuild() {
-	if m.deferring {
-		m.needCheck = true
-		return
-	}
-	if m.RebuildFactor <= 1 {
-		m.rebuild(m.points())
-		return
-	}
-	if float64(m.eng.Max()) > m.RebuildFactor*float64(m.baseline)+1e-9 || !m.connectivityOK() {
-		m.rebuild(m.points())
-	}
-}
-
-// connectivityOK checks the maintained topology still matches the UDG's
-// component structure.
-func (m *Maintainer) connectivityOK() bool {
-	return graph.SameComponents(udg.Build(m.points()), m.topo)
+	return false
 }

@@ -79,3 +79,25 @@ func TestGoldenTheorem51Fit(t *testing.T) {
 		t.Errorf("scaling fit drifted: %q, want %q", fit, want)
 	}
 }
+
+// TestGoldenDynamicX8 pins X8 at the catalogue's defaults (seed 1, 300
+// events): the maintainer's arrival range test, its settle path and the
+// drift-control rebuilds all feed these rebuild counts and interference
+// values.
+func TestGoldenDynamicX8(t *testing.T) {
+	var sb strings.Builder
+	if err := DynamicX8(1, 300).Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `X8: online maintenance under churn (300 events, uniform arrivals/departures)
+policy               rebuilds  final_I  fresh_rebuild_I  drift_ratio
+-------------------  --------  -------  ---------------  -----------
+rebuild-every-event  301       4        4                1
+maintain-1.5x        2         5        4                1.25
+maintain-2x          1         5        4                1.25
+maintain-3x          1         5        4                1.25
+`
+	if sb.String() != want {
+		t.Errorf("X8 table drifted:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}

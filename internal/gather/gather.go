@@ -51,8 +51,8 @@ func (t Tree) Validate(pts []geom.Point) error {
 		if p < 0 || p >= n || p == v {
 			return fmt.Errorf("gather: node %d has invalid parent %d", v, p)
 		}
-		if d := pts[v].Dist(pts[p]); d > udg.Radius*(1+1e-9) {
-			return fmt.Errorf("gather: uplink %d->%d length %v exceeds range", v, p, d)
+		if !geom.InDisk(pts[v], udg.Radius, pts[p]) {
+			return fmt.Errorf("gather: uplink %d->%d length %v exceeds range", v, p, pts[v].Dist(pts[p]))
 		}
 		// Walk to the sink with a step bound to catch cycles.
 		cur := v

@@ -76,6 +76,21 @@ func clampRange(lo, hi, n int) (int, int) {
 	return lo, hi
 }
 
+// cellRange returns the inclusive, clamped cell-coordinate ranges a
+// radius-r query around c must scan. The reach is r·diskGrow, past the
+// r·√diskGrow where InDisk's boundary ends: a point InDisk admits just
+// beyond r may sit one cell further out than c ± r.
+func (g *Grid) cellRange(c Point, r float64) (cx0, cx1, cy0, cy1 int) {
+	reach := r * diskGrow
+	cx0, cx1 = clampRange(
+		int(math.Floor((c.X-reach-g.minX)/g.cell)),
+		int(math.Floor((c.X+reach-g.minX)/g.cell)), g.nx)
+	cy0, cy1 = clampRange(
+		int(math.Floor((c.Y-reach-g.minY)/g.cell)),
+		int(math.Floor((c.Y+reach-g.minY)/g.cell)), g.ny)
+	return cx0, cx1, cy0, cy1
+}
+
 func (g *Grid) cellOf(p Point) int {
 	cx := int((p.X - g.minX) / g.cell)
 	cy := int((p.Y - g.minY) / g.cell)
@@ -102,12 +117,7 @@ func (g *Grid) Within(c Point, r float64, dst []int) []int {
 		return dst
 	}
 	r2 := r * r * diskGrow
-	cx0, cx1 := clampRange(
-		int(math.Floor((c.X-r-g.minX)/g.cell)),
-		int(math.Floor((c.X+r-g.minX)/g.cell)), g.nx)
-	cy0, cy1 := clampRange(
-		int(math.Floor((c.Y-r-g.minY)/g.cell)),
-		int(math.Floor((c.Y+r-g.minY)/g.cell)), g.ny)
+	cx0, cx1, cy0, cy1 := g.cellRange(c, r)
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.nx
 		for cx := cx0; cx <= cx1; cx++ {
@@ -138,12 +148,7 @@ func (g *Grid) WithinAnnulus(c Point, lo, hi float64, dst []int) []int {
 	}
 	hi2 := hi * hi * diskGrow
 	lo2 := lo * lo * diskGrow
-	cx0, cx1 := clampRange(
-		int(math.Floor((c.X-hi-g.minX)/g.cell)),
-		int(math.Floor((c.X+hi-g.minX)/g.cell)), g.nx)
-	cy0, cy1 := clampRange(
-		int(math.Floor((c.Y-hi-g.minY)/g.cell)),
-		int(math.Floor((c.Y+hi-g.minY)/g.cell)), g.ny)
+	cx0, cx1, cy0, cy1 := g.cellRange(c, hi)
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.nx
 		// Rectangle bounds of this cell row on the y axis.
@@ -208,21 +213,6 @@ func rectDist2(c Point, x0, y0, x1, y1 float64) (near, far float64) {
 		fdy = d
 	}
 	return ndx*ndx + ndy*ndy, fdx*fdx + fdy*fdy
-}
-
-// WithinAnnulusBrute is the O(n) reference implementation of
-// WithinAnnulus, kept for cross-validation in tests.
-func WithinAnnulusBrute(pts []Point, c Point, lo, hi float64, dst []int) []int {
-	hi2 := hi * hi * diskGrow
-	lo2 := lo * lo * diskGrow
-	for j, q := range pts {
-		d2 := c.Dist2(q)
-		if d2 > hi2 || (lo > 0 && d2 <= lo2) {
-			continue
-		}
-		dst = append(dst, j)
-	}
-	return dst
 }
 
 // Add appends p to the indexed set and returns its index. Points outside
@@ -302,12 +292,7 @@ func (g *Grid) CountWithin(c Point, r float64) int {
 		return 0
 	}
 	r2 := r * r * diskGrow
-	cx0, cx1 := clampRange(
-		int(math.Floor((c.X-r-g.minX)/g.cell)),
-		int(math.Floor((c.X+r-g.minX)/g.cell)), g.nx)
-	cy0, cy1 := clampRange(
-		int(math.Floor((c.Y-r-g.minY)/g.cell)),
-		int(math.Floor((c.Y+r-g.minY)/g.cell)), g.ny)
+	cx0, cx1, cy0, cy1 := g.cellRange(c, r)
 	n := 0
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.nx
@@ -417,15 +402,4 @@ func NearestBrute(pts []Point, i int) (int, float64) {
 		return -1, math.Inf(1)
 	}
 	return best, pts[i].Dist(pts[best])
-}
-
-// WithinBrute is the O(n) reference implementation of Within.
-func WithinBrute(pts []Point, c Point, r float64, dst []int) []int {
-	r2 := r * r * diskGrow
-	for j, q := range pts {
-		if c.Dist2(q) <= r2 {
-			dst = append(dst, j)
-		}
-	}
-	return dst
 }

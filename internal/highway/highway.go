@@ -65,9 +65,8 @@ func LinearRange(pts []geom.Point, r float64) *graph.Graph {
 	mustValidate(pts)
 	g := graph.New(len(pts))
 	for i := 1; i < len(pts); i++ {
-		d := pts[i].X - pts[i-1].X
-		if d <= r*(1+1e-9) || math.IsInf(r, 1) {
-			g.AddEdge(i-1, i, d)
+		if geom.InDisk(pts[i-1], r, pts[i]) {
+			g.AddEdge(i-1, i, pts[i].X-pts[i-1].X)
 		}
 	}
 	return g
@@ -130,24 +129,20 @@ func AExpRange(pts []geom.Point, r float64) *graph.Graph {
 	}
 	sp := obs.Start("highway.aexp")
 	defer sp.End()
-	inRange := func(d float64) bool {
-		return math.IsInf(r, 1) || d <= r*(1+1e-9)
-	}
 	inc := core.NewEvaluator(pts)
 	hub := 0
 	for i := 1; i < len(pts); i++ {
-		d := pts[hub].Dist(pts[i])
-		if !inRange(d) {
+		if !geom.InDisk(pts[hub], r, pts[i]) {
 			// The hub cannot reach v_i: promote v_{i-1}. If even the
 			// immediate neighbor is out of range the UDG is disconnected
 			// here and v_i starts a fresh hub on its own.
 			hub = i - 1
-			d = pts[hub].Dist(pts[i])
-			if !inRange(d) {
+			if !geom.InDisk(pts[hub], r, pts[i]) {
 				hub = i
 				continue
 			}
 		}
+		d := pts[hub].Dist(pts[i])
 		before := inc.Max()
 		g.AddEdge(hub, i, d)
 		inc.GrowTo(hub, d)
@@ -254,11 +249,8 @@ func AGenSpacing(pts []geom.Point, spacing int) *graph.Graph {
 		// Join to the previous segment when within range (adjacent
 		// segments are at most 2 apart in coordinate, but only adjacent
 		// ones can be within unit range).
-		if prevSegEnd >= 0 {
-			d := pts[segStart].X - pts[prevSegEnd].X
-			if d <= udg.Radius*(1+1e-9) {
-				g.AddEdge(prevSegEnd, segStart, d)
-			}
+		if prevSegEnd >= 0 && geom.InDisk(pts[prevSegEnd], udg.Radius, pts[segStart]) {
+			g.AddEdge(prevSegEnd, segStart, pts[segStart].X-pts[prevSegEnd].X)
 		}
 		prevSegEnd = segEnd
 		segStart = segEnd + 1

@@ -111,7 +111,7 @@ func ExactBudgetWith(factory core.MeasureFactory, pts []geom.Point, budget int64
 	ev := factory(pts)
 	s := &exactSearch{
 		pts:    pts,
-		cand:   candidatesGrid(pts, base, ev.Grid()),
+		cand:   candidates(pts, ev.Grid()),
 		udgAdj: base,
 		fc:     newFeasChecker(pts, ev.Grid(), wantK),
 		radii:  make([]float64, n),
@@ -157,53 +157,24 @@ func ExactBudgetWith(factory core.MeasureFactory, pts []geom.Point, budget int64
 // candidates returns, for each node, the ascending list of admissible
 // radii: distances to other nodes within unit range, starting at the
 // nearest-UDG-neighbor distance (nodes of non-singleton components need
-// at least one link), or {0} for isolated nodes.
-func candidates(pts []geom.Point, base *graph.Graph) [][]float64 {
-	n := len(pts)
-	cand := make([][]float64, n)
-	for u := 0; u < n; u++ {
-		if base.Degree(u) == 0 {
-			cand[u] = []float64{0}
-			continue
-		}
-		var set []float64
-		for v := 0; v < n; v++ {
-			if v == u {
-				continue
-			}
-			if d := pts[u].Dist(pts[v]); d <= udg.Radius*(1+1e-9) {
-				set = append(set, d)
-			}
-		}
-		cand[u] = dedupeSorted(set)
-	}
-	return cand
-}
-
-// candidatesGrid computes the same candidate lists as candidates but
-// enumerates each node's unit disk through the grid instead of scanning
-// all n² pairs — O(n + Σ_u |D(u, 1) ∩ V|) total, the difference between
-// milliseconds and seconds at the annealer's n = 4096 scale.
-func candidatesGrid(pts []geom.Point, base *graph.Graph, grid *geom.Grid) [][]float64 {
-	n := len(pts)
-	cand := make([][]float64, n)
+// at least one link), or {0} for isolated nodes. Each node's unit disk
+// is enumerated through the grid — O(n + Σ_u |D(u, 1) ∩ V|) total, the
+// difference between milliseconds and seconds at the annealer's n = 4096
+// scale; oracle.Candidates is the all-pairs reference.
+func candidates(pts []geom.Point, grid *geom.Grid) [][]float64 {
+	cand := make([][]float64, len(pts))
 	buf := make([]int, 0, 64)
-	for u := 0; u < n; u++ {
-		if base.Degree(u) == 0 {
+	for u := range pts {
+		var set []float64
+		buf = grid.Within(pts[u], udg.Radius, buf[:0])
+		for _, v := range buf {
+			if v != u {
+				set = append(set, pts[u].Dist(pts[v]))
+			}
+		}
+		if len(set) == 0 {
 			cand[u] = []float64{0}
 			continue
-		}
-		var set []float64
-		// Query slightly wide, then apply the exact admissibility test so
-		// the lists match candidates bit-for-bit.
-		buf = grid.Within(pts[u], udg.Radius*(1+1e-9), buf[:0])
-		for _, v := range buf {
-			if v == u {
-				continue
-			}
-			if d := pts[u].Dist(pts[v]); d <= udg.Radius*(1+1e-9) {
-				set = append(set, d)
-			}
 		}
 		cand[u] = dedupeSorted(set)
 	}
@@ -267,23 +238,16 @@ func (fc *feasChecker) feasible(radii []float64) bool {
 		if ru <= 0 {
 			continue
 		}
-		q := ru
-		if q > udg.Radius {
-			q = udg.Radius
-		}
-		fc.buf = fc.grid.Within(fc.pts[u], q*(1+1e-9), fc.buf[:0])
+		// InDisk is monotone in the radius, so the disk of radius
+		// min(r_u, 1) holds exactly the nodes within both r_u and unit
+		// range: every checked edge is a udg.Build edge, and the
+		// comps ≥ wantK invariant (and its early exit) holds.
+		fc.buf = fc.grid.Within(fc.pts[u], math.Min(ru, udg.Radius), fc.buf[:0])
 		for _, v := range fc.buf {
 			if v <= u {
 				continue // each unordered pair once, from its smaller side
 			}
-			// Unit-range membership uses the same squared-radius epsilon
-			// as udg.Build, so checked edges are guaranteed UDG edges and
-			// the comps ≥ wantK invariant (and its early exit) holds.
-			if !geom.InDisk(fc.pts[u], udg.Radius, fc.pts[v]) {
-				continue
-			}
-			d := fc.pts[u].Dist(fc.pts[v])
-			if d > ru*(1+1e-9) || d > radii[v]*(1+1e-9) {
+			if !geom.InDisk(fc.pts[v], radii[v], fc.pts[u]) {
 				continue
 			}
 			a, b := fc.find(int32(u)), fc.find(int32(v))
@@ -362,14 +326,13 @@ func (s *exactSearch) deadEnd(u int, r float64) bool {
 		return false
 	}
 	for _, v := range s.udgAdj.Neighbors(u) {
-		d := s.pts[u].Dist(s.pts[v])
-		if d > r*(1+1e-9) {
+		if !geom.InDisk(s.pts[u], r, s.pts[v]) {
 			continue
 		}
 		if v > u {
 			return false // a future node can still meet u
 		}
-		if s.radii[v] >= d*(1-1e-9) {
+		if geom.InDisk(s.pts[v], s.radii[v], s.pts[u]) {
 			return false // mutually reachable assigned partner
 		}
 	}
@@ -383,14 +346,23 @@ func (s *exactSearch) feasible() bool {
 }
 
 // MutualGraph returns Ĝ(r): edges between nodes that can mutually reach
-// each other within their radii and within unit range.
+// each other within their radii and within unit range. Each node's disk
+// of radius min(r_u, 1) is enumerated through a grid (the feasChecker's
+// query), and edges are added in all-pairs (u, v) order, so the graph is
+// oracle.MutualGraph's edge for edge.
 func MutualGraph(pts []geom.Point, radii []float64) *graph.Graph {
 	g := graph.New(len(pts))
-	for u := 0; u < len(pts); u++ {
-		for v := u + 1; v < len(pts); v++ {
-			d := pts[u].Dist(pts[v])
-			if d <= udg.Radius*(1+1e-9) && d <= radii[u]*(1+1e-9) && d <= radii[v]*(1+1e-9) {
-				g.AddEdge(u, v, d)
+	if len(pts) == 0 {
+		return g
+	}
+	grid := geom.NewGrid(pts, core.GridCell(pts))
+	var buf []int
+	for u, pu := range pts {
+		buf = grid.Within(pu, math.Min(radii[u], udg.Radius), buf[:0])
+		sort.Ints(buf)
+		for _, v := range buf {
+			if v > u && geom.InDisk(pts[v], radii[v], pu) {
+				g.AddEdge(u, v, pu.Dist(pts[v]))
 			}
 		}
 	}
@@ -416,9 +388,8 @@ func RealizeForest(pts []geom.Point, radii []float64) *graph.Graph {
 // decreases — growing a radius adds mutual edges, and adding edges to a
 // subgraph of the UDG whose partition already equals the UDG's cannot
 // change the partition. Decreases run through the grid-backed union-find
-// checker. AnnealFull is the original recompute-everything implementation
-// kept as the test reference; both draw identically from rng, so they
-// walk the same move sequence.
+// checker. oracle.AnnealFull is the recompute-everything reference walk;
+// both draw identically from rng, so they walk the same move sequence.
 func Anneal(pts []geom.Point, rng *rand.Rand, iters int) Result {
 	return AnnealWith(core.GraphMeasure, pts, rng, iters)
 }
@@ -440,7 +411,7 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 
 	ev := factory(pts)
 	fc := newFeasChecker(pts, ev.Grid(), wantK)
-	cand := candidatesGrid(pts, base, ev.Grid())
+	cand := candidates(pts, ev.Grid())
 
 	// Start from the MST radii (feasible by construction).
 	mst := graph.EuclideanMST(pts, udg.Radius)
@@ -465,9 +436,6 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 			chunk = loop.Child("opt.anneal.iters64")
 		}
 		u := rng.Intn(n)
-		if len(cand[u]) == 0 {
-			continue
-		}
 		r := cand[u][rng.Intn(len(cand[u]))]
 		if r == cur[u] {
 			temp *= cool
@@ -508,74 +476,6 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 		obsAnnealIters.Add(int64(iters))
 		obsAnnealAccepted.Add(accepted)
 		obsAnnealRejected.Add(rejected)
-	}
-	return Result{
-		Interference: bestI,
-		Radii:        best,
-		Topology:     RealizeForest(pts, best),
-		Exact:        false,
-	}
-}
-
-// AnnealFull is the pre-evaluator reference implementation of Anneal: it
-// rebuilds the mutual-reachability graph and re-evaluates interference
-// from scratch on every move. Kept verbatim as the reference walk that
-// TestAnnealMatchesAnnealFull and TestAnnealWalksMatch check the
-// incremental path against; prefer Anneal everywhere else.
-func AnnealFull(pts []geom.Point, rng *rand.Rand, iters int) Result {
-	n := len(pts)
-	if n == 0 {
-		return Result{Topology: graph.New(0)}
-	}
-	base := udg.Build(pts)
-	wantLabel, wantK := base.Components()
-	feasible := func(radii []float64) bool {
-		g := MutualGraph(pts, radii)
-		label, k := g.Components()
-		if k != wantK {
-			return false
-		}
-		for i := range label {
-			if label[i] != wantLabel[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	mst := graph.EuclideanMST(pts, udg.Radius)
-	cur := core.Radii(pts, mst)
-	curI := core.InterferenceRadii(pts, cur).Max()
-	best := append([]float64(nil), cur...)
-	bestI := curI
-
-	cand := candidates(pts, base)
-
-	temp := 2.0
-	cool := math.Pow(0.01/temp, 1/math.Max(1, float64(iters)))
-	work := append([]float64(nil), cur...)
-	for it := 0; it < iters; it++ {
-		u := rng.Intn(n)
-		if len(cand[u]) == 0 {
-			continue
-		}
-		copy(work, cur)
-		work[u] = cand[u][rng.Intn(len(cand[u]))]
-		if work[u] == cur[u] || !feasible(work) {
-			temp *= cool
-			continue
-		}
-		newI := core.InterferenceRadii(pts, work).Max()
-		dE := float64(newI - curI)
-		if dE <= 0 || rng.Float64() < math.Exp(-dE/temp) {
-			cur, work = work, cur
-			curI = newI
-			if curI < bestI {
-				bestI = curI
-				copy(best, cur)
-			}
-		}
-		temp *= cool
 	}
 	return Result{
 		Interference: bestI,

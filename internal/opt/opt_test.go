@@ -243,33 +243,6 @@ func TestExactBudgetExhaustionStillFeasible(t *testing.T) {
 	}
 }
 
-// TestAnnealMatchesAnnealFull: the incremental annealer and the
-// recompute-everything reference draw identically from the RNG and apply
-// identical accept/reject decisions, so with the same seed they must
-// return the same interference and radii — on every instance shape.
-func TestAnnealMatchesAnnealFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(401))
-	instances := [][]geom.Point{
-		gen.UniformSquare(rng, 60, 3),
-		gen.UniformSquare(rng, 120, 2),  // dense: one component
-		gen.UniformSquare(rng, 60, 12),  // sparse: many components
-		gen.HighwayUniform(rng, 80, 20), // 1-D
-		gen.ExpChain(12, 1),             // exponential distances
-	}
-	for i, pts := range instances {
-		fast := Anneal(pts, rand.New(rand.NewSource(int64(500+i))), 800)
-		full := AnnealFull(pts, rand.New(rand.NewSource(int64(500+i))), 800)
-		if fast.Interference != full.Interference {
-			t.Fatalf("instance %d: incremental %d vs reference %d", i, fast.Interference, full.Interference)
-		}
-		for u := range fast.Radii {
-			if fast.Radii[u] != full.Radii[u] {
-				t.Fatalf("instance %d: radii diverge at node %d: %v vs %v", i, u, fast.Radii[u], full.Radii[u])
-			}
-		}
-	}
-}
-
 // TestFeasCheckerMatchesMutualGraph cross-validates the union-find
 // feasibility checker against the materialized mutual-reachability graph
 // on random radius assignments.
@@ -306,30 +279,6 @@ func TestFeasCheckerMatchesMutualGraph(t *testing.T) {
 			}
 			if got := fc.feasible(radii); got != want {
 				t.Fatalf("trial %d step %d: feasChecker %v, MutualGraph %v (radii=%v)", trial, step, got, want, radii)
-			}
-		}
-	}
-}
-
-// TestCandidatesGridMatchesNaive: the grid-accelerated candidate lists
-// must equal the all-pairs ones bit for bit.
-func TestCandidatesGridMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(403))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(50)
-		pts := gen.UniformSquare(rng, n, 1+rng.Float64()*5)
-		base := udg.Build(pts)
-		ev := core.NewEvaluator(pts)
-		naive := candidates(pts, base)
-		grid := candidatesGrid(pts, base, ev.Grid())
-		for u := range naive {
-			if len(naive[u]) != len(grid[u]) {
-				t.Fatalf("trial %d node %d: %d vs %d candidates", trial, u, len(naive[u]), len(grid[u]))
-			}
-			for i := range naive[u] {
-				if naive[u][i] != grid[u][i] {
-					t.Fatalf("trial %d node %d cand %d: %v vs %v", trial, u, i, naive[u][i], grid[u][i])
-				}
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -81,11 +83,13 @@ func Within(pts []geom.Point, c geom.Point, r float64) []int {
 
 // WithinAnnulus is the naive annulus query: indices j with
 // lo < |c, p_j| ≤ hi under the shared boundary predicate, ascending —
-// the reference for the grid query behind Evaluator.SetRadius.
+// the reference for the grid query behind Evaluator.SetRadius. A
+// non-positive lo is an empty inner disk (a silent node covers nothing,
+// not even a coincident one), so the query degenerates to Within(c, hi).
 func WithinAnnulus(pts []geom.Point, c geom.Point, lo, hi float64) []int {
 	var out []int
 	for j := range pts {
-		if geom.InDisk(c, hi, pts[j]) && !geom.InDisk(c, lo, pts[j]) {
+		if geom.InDisk(c, hi, pts[j]) && (lo <= 0 || !geom.InDisk(c, lo, pts[j])) {
 			out = append(out, j)
 		}
 	}
@@ -107,7 +111,7 @@ func NNF(pts []geom.Point) *graph.Graph {
 				best, bestD = v, d
 			}
 		}
-		if best >= 0 && bestD <= udg.Radius*(1+1e-9) {
+		if best >= 0 && geom.InDisk(pts[u], udg.Radius, pts[best]) {
 			g.AddEdge(u, best, bestD)
 		}
 	}
@@ -120,8 +124,8 @@ func UDG(pts []geom.Point) *graph.Graph {
 	g := graph.New(len(pts))
 	for u := range pts {
 		for v := u + 1; v < len(pts); v++ {
-			if d := pts[u].Dist(pts[v]); d <= udg.Radius*(1+1e-9) {
-				g.AddEdge(u, v, d)
+			if geom.InDisk(pts[u], udg.Radius, pts[v]) {
+				g.AddEdge(u, v, pts[u].Dist(pts[v]))
 			}
 		}
 	}
@@ -147,7 +151,7 @@ func Components(pts []geom.Point) ([]int, int) {
 			u := queue[0]
 			queue = queue[1:]
 			for v := 0; v < n; v++ {
-				if label[v] < 0 && pts[u].Dist(pts[v]) <= udg.Radius*(1+1e-9) {
+				if label[v] < 0 && geom.InDisk(pts[u], udg.Radius, pts[v]) {
 					label[v] = k
 					queue = append(queue, v)
 				}
@@ -187,10 +191,10 @@ func MSTWeight(pts []geom.Point) float64 {
 			inTree[u] = true
 			total += dist[u]
 			for v := 0; v < n; v++ {
-				if inTree[v] {
+				if inTree[v] || !geom.InDisk(pts[u], udg.Radius, pts[v]) {
 					continue
 				}
-				if d := pts[u].Dist(pts[v]); d <= udg.Radius*(1+1e-9) && d < dist[v] {
+				if d := pts[u].Dist(pts[v]); d < dist[v] {
 					dist[v] = d
 				}
 			}
@@ -206,9 +210,9 @@ func MutualGraph(pts []geom.Point, radii []float64) *graph.Graph {
 	g := graph.New(len(pts))
 	for u := range pts {
 		for v := u + 1; v < len(pts); v++ {
-			d := pts[u].Dist(pts[v])
-			if d <= udg.Radius*(1+1e-9) && d <= radii[u]*(1+1e-9) && d <= radii[v]*(1+1e-9) {
-				g.AddEdge(u, v, d)
+			if geom.InDisk(pts[u], udg.Radius, pts[v]) &&
+				geom.InDisk(pts[u], radii[u], pts[v]) && geom.InDisk(pts[v], radii[v], pts[u]) {
+				g.AddEdge(u, v, pts[u].Dist(pts[v]))
 			}
 		}
 	}
@@ -242,8 +246,8 @@ func Feasible(pts []geom.Point, radii []float64) bool {
 const MaxBruteN = 9
 
 // BruteForceOptimal enumerates every radius assignment over the
-// per-node candidate sets (distances to in-range nodes, exactly the space
-// internal/opt searches) and returns the minimum interference over
+// per-node candidate sets (Candidates, exactly the space internal/opt
+// searches) and returns the minimum interference over
 // assignments whose mutual-reachability graph preserves the UDG
 // components, together with an attaining assignment. It is the oracle for
 // opt.Exact at n ≤ MaxBruteN.
@@ -260,22 +264,7 @@ func BruteForceOptimal(pts []geom.Point) (int, []float64) {
 	if n == 0 {
 		return 0, nil
 	}
-	base := UDG(pts)
-	cand := make([][]float64, n)
-	for u := 0; u < n; u++ {
-		if base.Degree(u) == 0 {
-			cand[u] = []float64{0}
-			continue
-		}
-		for v := 0; v < n; v++ {
-			if v == u {
-				continue
-			}
-			if d := pts[u].Dist(pts[v]); d <= udg.Radius*(1+1e-9) {
-				cand[u] = append(cand[u], d)
-			}
-		}
-	}
+	cand := Candidates(pts)
 
 	best := math.MaxInt
 	var bestRadii []float64
@@ -303,4 +292,78 @@ func BruteForceOptimal(pts []geom.Point) (int, []float64) {
 		return -1, nil // no feasible assignment (cannot happen: UDG radii are feasible)
 	}
 	return best, bestRadii
+}
+
+// Candidates returns, for each node, the ascending distinct radii the
+// optimum searches range over: distances to the other nodes within unit
+// range, or {0} for a node the UDG leaves isolated. It is the all-pairs
+// reference for internal/opt's grid-enumerated lists.
+func Candidates(pts []geom.Point) [][]float64 {
+	cand := make([][]float64, len(pts))
+	for u := range pts {
+		var set []float64
+		for v := range pts {
+			if v != u && geom.InDisk(pts[u], udg.Radius, pts[v]) {
+				set = append(set, pts[u].Dist(pts[v]))
+			}
+		}
+		if len(set) == 0 {
+			cand[u] = []float64{0}
+			continue
+		}
+		sort.Float64s(set)
+		out := set[:1]
+		for _, d := range set[1:] {
+			if d != out[len(out)-1] {
+				out = append(out, d)
+			}
+		}
+		cand[u] = out
+	}
+	return cand
+}
+
+// AnnealFull is the reference walk for opt.Anneal: the same simulated
+// annealing over Candidates, started from the range-limited Euclidean
+// MST's radii and drawing identically from rng, but re-checking
+// feasibility (Feasible) and re-evaluating interference (Interference)
+// from scratch on every move. It returns the best interference and the
+// radius assignment attaining it; opt.Anneal with the same seed and
+// budget must return both bit for bit.
+func AnnealFull(pts []geom.Point, rng *rand.Rand, iters int) (int, []float64) {
+	n := len(pts)
+	if n == 0 {
+		return 0, nil
+	}
+	cur := Radii(pts, graph.EuclideanMST(pts, udg.Radius))
+	curI := Interference(pts, cur).Max()
+	best := append([]float64(nil), cur...)
+	bestI := curI
+
+	cand := Candidates(pts)
+
+	temp := 2.0
+	cool := math.Pow(0.01/temp, 1/math.Max(1, float64(iters)))
+	work := append([]float64(nil), cur...)
+	for it := 0; it < iters; it++ {
+		u := rng.Intn(n)
+		copy(work, cur)
+		work[u] = cand[u][rng.Intn(len(cand[u]))]
+		if work[u] == cur[u] || !Feasible(pts, work) {
+			temp *= cool
+			continue
+		}
+		newI := Interference(pts, work).Max()
+		dE := float64(newI - curI)
+		if dE <= 0 || rng.Float64() < math.Exp(-dE/temp) {
+			cur, work = work, cur
+			curI = newI
+			if curI < bestI {
+				bestI = curI
+				copy(best, cur)
+			}
+		}
+		temp *= cool
+	}
+	return bestI, best
 }

@@ -107,10 +107,13 @@ func checkCoord(x, y, maxCoord float64) error {
 	return nil
 }
 
+// maxAnnealIters caps the per-mutation anneal budget.
+const maxAnnealIters = 100_000
+
 // validate rejects malformed mutations at enqueue time, so the owner
 // goroutine never has to crash on garbage (NaN or far-flung coordinates,
-// negative radii, unbounded anneal budgets).
-func (mu Mutation) validate(maxAnnealIters int, maxCoord float64) error {
+// negative radii, anneal budgets outside (0, maxAnnealIters]).
+func (mu Mutation) validate(maxCoord float64) error {
 	bad := func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }
 	switch mu.Op {
 	case OpAdd, OpMove:

@@ -55,7 +55,7 @@ func TestOpsAdversarial(t *testing.T) {
 		t.Fatalf("unknown op: %v", err)
 	}
 	// Anneal iteration counts beyond int32 are rejected (they would wrap
-	// through int on 32-bit builds and bypass MaxAnnealIters).
+	// through int on 32-bit builds and bypass the anneal budget cap).
 	huge := AppendOps(nil, []Mutation{AnnealStep(1, 0)})
 	binary.LittleEndian.PutUint64(huge[4+9:], uint64(math.MaxInt64))
 	if _, _, err := DecodeOps(huge, nil); !errors.Is(err, ErrBadEncoding) {

@@ -79,7 +79,9 @@ func (d *BatchDelta) Empty() bool {
 // engine plus the batch's dirty summary and the session's external-ID
 // translation. It is valid only for the duration of the hook call, on
 // the session's owner goroutine — the engine and the translation
-// closures must not be retained or called afterwards.
+// closures must not be retained or called afterwards. A view whose
+// Engine is nil is terminal: the session was dropped, and only Session
+// is set.
 type BatchView struct {
 	// Session is the session's ID.
 	Session string

@@ -43,14 +43,12 @@ func normalizeMeasure(measure string) (string, error) {
 	return "", fmt.Errorf("serve: unknown measure %q (want %q or %q)", measure, MeasureGraph, MeasureSinr)
 }
 
-// engineFor picks the engine factory for a measure. Config.Engine and
-// Config.SinrEngine are the test-injection overrides (oracle shadows);
-// production sessions get core.Evaluator or phys.Evaluator.
+// engineFor picks the engine factory for a measure: phys.Evaluator for
+// sinr sessions, and for graph sessions Config.Engine (the
+// test-injection override for oracle shadows; nil selects
+// core.Evaluator).
 func (m *Manager) engineFor(measure string) dynamic.EngineFactory {
 	if measure == MeasureSinr {
-		if m.cfg.SinrEngine != nil {
-			return m.cfg.SinrEngine
-		}
 		return phys.NewMeasure
 	}
 	return m.cfg.Engine

@@ -84,9 +84,6 @@ type Config struct {
 	BatchCap int
 	// RebuildFactor is passed to dynamic.Maintainer; 0 means its default.
 	RebuildFactor float64
-	// MaxAnnealIters caps the per-mutation anneal budget; <= 0 means
-	// 100_000. Larger requests are rejected at enqueue time.
-	MaxAnnealIters int
 	// MaxCoord bounds |x| and |y| of every node coordinate; <= 0 means
 	// 1024. The engine's spatial index allocates cells over the instance's
 	// bounding box, so one far-flung coordinate would balloon memory — the
@@ -97,10 +94,6 @@ type Config struct {
 	// oracle.NewDiffEvaluator here to shadow-check a whole serving
 	// pipeline.
 	Engine dynamic.EngineFactory
-	// SinrEngine is Engine's counterpart for sinr-measure sessions (nil
-	// selects the production phys.Evaluator; tests inject the oracle's
-	// DiffPhysEvaluator).
-	SinrEngine dynamic.EngineFactory
 	// DefaultMeasure is the measure CreateSession assigns when the
 	// caller does not pick one: MeasureGraph or MeasureSinr ("" means
 	// graph). rimd's -measure flag lands here.
@@ -114,9 +107,10 @@ type Config struct {
 	// AfterBatchDelta, when non-nil, makes every session accumulate a
 	// per-batch dirty summary (see BatchDelta) and publish it — with the
 	// post-batch engine and the external-ID translation — after each
-	// applied batch, on the owner goroutine. The subscription matcher
-	// (internal/sub) attaches here. Nil costs nothing: no delta is
-	// accumulated. Runs after AfterBatch.
+	// applied batch, on the owner goroutine. A dropped session publishes
+	// one terminal view (nil Engine) from the dropping goroutine. The
+	// subscription matcher (internal/sub) attaches here. Nil costs
+	// nothing: no delta is accumulated. Runs after AfterBatch.
 	AfterBatchDelta func(BatchView)
 	// Store, when non-nil, write-ahead-logs every applied batch and backs
 	// session checkpoints and boot-time recovery (see internal/store and
@@ -139,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchCap <= 0 {
 		c.BatchCap = 256
-	}
-	if c.MaxAnnealIters <= 0 {
-		c.MaxAnnealIters = 100_000
 	}
 	if c.MaxCoord <= 0 {
 		c.MaxCoord = 1024
@@ -323,7 +314,8 @@ func (m *Manager) liveSessions() []*Session {
 // DropSession closes a session (further Apply calls fail) and removes it
 // from the table. Mutations already queued are still applied by the
 // owner; they just become unobservable once every snapshot holder lets
-// go.
+// go. The AfterBatchDelta consumer receives the session's terminal
+// BatchView.
 func (m *Manager) DropSession(id string) error {
 	if m.readOnly.Load() {
 		return ErrReadOnly
@@ -346,6 +338,11 @@ func (m *Manager) dropSession(id string) error {
 	s.dropped = true // stops WAL logging of the still-draining queue
 	s.mu.Unlock()
 	s.close()
+	if m.cfg.AfterBatchDelta != nil {
+		// Every drop — HTTP, wire, or a replicated drop record — tells
+		// the consumer here, so no subscription outlives its session.
+		m.cfg.AfterBatchDelta(BatchView{Session: id})
+	}
 	if m.cfg.Store != nil {
 		// Checkpoints die BEFORE the drop record is logged: a crash
 		// between the two resurrects the session (safe — the drop was

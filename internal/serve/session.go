@@ -192,7 +192,7 @@ func (s *Session) applyOpts(muts []Mutation, pinned bool) ([]int64, error) {
 		return nil, nil
 	}
 	for _, mu := range muts {
-		if err := mu.validate(s.mgr.cfg.MaxAnnealIters, s.mgr.cfg.MaxCoord); err != nil {
+		if err := mu.validate(s.mgr.cfg.MaxCoord); err != nil {
 			return nil, err
 		}
 	}

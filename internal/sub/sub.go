@@ -366,8 +366,13 @@ func (h *Hub) DropSession(session string) {
 // AfterBatchDelta is the matcher entry point: install it as the serve
 // manager's AfterBatchDelta hook. It runs on the session owner goroutine
 // with the batch's dirty summary and must never block — delivery is
-// non-blocking by construction.
+// non-blocking by construction. A terminal view (the session was
+// dropped) retires the session's subscriptions through DropSession.
 func (h *Hub) AfterBatchDelta(v serve.BatchView) {
+	if v.Engine == nil {
+		h.DropSession(v.Session)
+		return
+	}
 	h.mu.RLock()
 	m := h.matchers[v.Session]
 	if m == nil || (v.Delta.Empty() && len(m.pending) == 0) {

@@ -75,7 +75,7 @@ func NNF(pts []geom.Point) *graph.Graph {
 	grid := geom.NewGrid(pts, nnfCell(pts))
 	for u := range pts {
 		v, d := grid.Nearest(u)
-		if v >= 0 && d <= udg.Radius*(1+1e-9) {
+		if v >= 0 && geom.InDisk(pts[u], udg.Radius, pts[v]) {
 			g.AddEdge(u, v, d)
 		}
 	}

@@ -3,8 +3,8 @@
 // iff their Euclidean distance is at most the (uniform) maximum
 // transmission range, normalized to 1.
 //
-// Both a grid-accelerated and a naive constructor are provided; the naive
-// one exists so property tests can cross-validate the fast path.
+// Membership is geom.InDisk's range rule, applied through the grid; the
+// O(n²) reference constructor is internal/oracle's UDG.
 package udg
 
 import (
@@ -48,20 +48,6 @@ func cellFor(r float64) float64 {
 		return 1
 	}
 	return r
-}
-
-// BuildNaive is the O(n²) reference constructor.
-func BuildNaive(pts []geom.Point, r float64) *graph.Graph {
-	g := graph.New(len(pts))
-	r2 := r * r
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Dist2(pts[j]) <= r2*(1+1e-9) {
-				g.AddEdge(i, j, pts[i].Dist(pts[j]))
-			}
-		}
-	}
-	return g
 }
 
 // MaxDegree returns Δ of the UDG over pts without materializing the graph;

@@ -28,28 +28,6 @@ func TestBuildBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestBuildMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(120)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Pt(rng.Float64()*6, rng.Float64()*6)
-		}
-		r := rng.Float64() * 2
-		fast := BuildRadius(pts, r)
-		slow := BuildNaive(pts, r)
-		if fast.M() != slow.M() {
-			t.Fatalf("trial %d: edges %d vs %d", trial, fast.M(), slow.M())
-		}
-		for _, e := range slow.Edges() {
-			if !fast.HasEdge(e.U, e.V) {
-				t.Fatalf("trial %d: fast missing edge (%d,%d)", trial, e.U, e.V)
-			}
-		}
-	}
-}
-
 func TestMaxDegreeMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {

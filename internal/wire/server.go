@@ -440,9 +440,6 @@ func (c *conn) dispatch(h Header, p []byte) {
 			c.writeErr(h.ID, StatusNotFound, err.Error())
 			return
 		}
-		if hub := c.srv.cfg.Hub; hub != nil {
-			hub.DropSession(string(sid))
-		}
 		c.invalidate()
 		c.begin(MsgDropOK, StatusOK, h.ID)
 		c.end()
