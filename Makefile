@@ -22,7 +22,7 @@ test:
 check: vet
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run 'Oracle|Law|Replay|BruteForce|Golden|Fuzz' -count=1 \
-		./internal/oracle/ ./internal/core/ ./internal/opt/ ./internal/topology/ \
+		./internal/oracle/ ./internal/core/ ./internal/graph/ ./internal/opt/ ./internal/topology/ \
 		./internal/highway/ ./internal/dynamic/ ./internal/sim/ ./cmd/paperrepro/ \
 		./internal/serve/ ./internal/repl/ ./internal/exp/ ./cmd/ifctl/
 

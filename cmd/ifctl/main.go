@@ -309,7 +309,7 @@ func optimal(stdout, stderr io.Writer, pts []geom.Point) int {
 	fmt.Fprintf(stdout, "instance: %s\n", gen.Describe(pts))
 	fmt.Fprintf(stdout, "optimal interference: %d (proved: %v, %d search nodes)\n", res.Interference, res.Exact, res.Visited)
 	t := tablefmt.New("optimal topology", "edge", "length")
-	for _, e := range res.Topology.SortedEdges() {
+	for _, e := range opt.RealizeForest(pts, res.Radii).SortedEdges() {
 		t.AddRowf(fmt.Sprintf("(%d,%d)", e.U, e.V), e.W)
 	}
 	t.Render(stdout)

@@ -176,7 +176,7 @@ func builder(name string, pts []geom.Point, seed int64, annealIters int) func() 
 			if iters <= 0 {
 				iters = 10 * len(pts)
 			}
-			return opt.Anneal(pts, rand.New(rand.NewSource(seed)), iters).Topology
+			return opt.RealizeForest(pts, opt.Anneal(pts, rand.New(rand.NewSource(seed)), iters).Radii)
 		}
 	default:
 		return nil

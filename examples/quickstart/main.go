@@ -54,8 +54,10 @@ func main() {
 	small := rim.ExpChain(10, 1)
 	res := rim.OptimalExact(small)
 	fmt.Printf("\nExact optimum on a 10-node chain: I = %d (proved: %v)\n", res.Interference, res.Exact)
+	// The optimum is a radius assignment; RealizeForest turns it into a
+	// topology whose interference is at most the assignment's.
 	fmt.Println("edges of one optimal topology:")
-	for _, e := range res.Topology.SortedEdges() {
+	for _, e := range rim.RealizeForest(small, res.Radii).SortedEdges() {
 		fmt.Printf("  (%d,%d) length %.4g\n", e.U, e.V, e.W)
 	}
 }

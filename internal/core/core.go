@@ -43,8 +43,13 @@ func Radii(pts []geom.Point, g *graph.Graph) []float64 {
 	if g.N() != len(pts) {
 		panic(fmt.Sprintf("core: topology over %d nodes, %d points", g.N(), len(pts)))
 	}
-	r := make([]float64, len(pts))
-	for _, e := range g.Edges() {
+	return EdgeRadii(len(pts), g.Edges())
+}
+
+// EdgeRadii is Radii for a topology given as an edge list over n nodes.
+func EdgeRadii(n int, edges []graph.Edge) []float64 {
+	r := make([]float64, n)
+	for _, e := range edges {
 		if e.W > r[e.U] {
 			r[e.U] = e.W
 		}

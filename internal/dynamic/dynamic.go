@@ -412,7 +412,7 @@ func (m *Maintainer) Anneal(seed int64, iters int) int {
 		// maintainer anneals the SINR objective, not the disk counts.
 		res := opt.AnnealWith(m.factory, m.points(), rand.New(rand.NewSource(seed)), iters)
 		m.eng.BatchSet(res.Radii, 0)
-		m.topo = res.Topology
+		m.topo = opt.RealizeForest(m.points(), res.Radii)
 		m.baseline = m.eng.Max()
 	}
 	m.fire(Event{Kind: EventAnneal, Index: -1, Max: m.eng.Max()})

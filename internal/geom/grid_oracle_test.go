@@ -29,6 +29,9 @@ func TestGridWithinMatchesBrute(t *testing.T) {
 		for q := 0; q < 10; q++ {
 			c := geom.Pt(rng.Float64()*12-1, rng.Float64()*12-1)
 			r := rng.Float64() * 3
+			if q == 0 {
+				r = -1 // an empty disk, for the grid and the oracle alike
+			}
 			got := sortedCopy(g.Within(c, r, nil))
 			want := oracle.Within(pts, c, r)
 			if !equalInts(got, want) {
@@ -54,6 +57,9 @@ func TestWithinAnnulusMatchesBrute(t *testing.T) {
 		}
 		if trial%11 == 0 {
 			c = pts[rng.Intn(len(pts))] // centered on an indexed point
+		}
+		if trial%13 == 0 {
+			hi = -1 // a negative outer radius: empty
 		}
 		got := sortedCopy(g.WithinAnnulus(c, lo, hi, nil))
 		want := oracle.WithinAnnulus(pts, c, lo, hi)

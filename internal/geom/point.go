@@ -105,9 +105,10 @@ func (r Rect) Contains(p Point) bool {
 
 // InDisk reports whether point p lies within (or on) the disk of radius r
 // centered at c. This is the containment test behind the paper's
-// D(u, r_u) interference disks.
+// D(u, r_u) interference disks. A negative radius is an empty disk (the
+// grid queries return nothing for it), not the disk of radius |r|.
 func InDisk(c Point, r float64, p Point) bool {
-	return c.Dist2(p) <= r*r*diskGrow
+	return r >= 0 && c.Dist2(p) <= r*r*diskGrow
 }
 
 // diskGrow/diskShrink absorb floating-point noise in disk-boundary tests

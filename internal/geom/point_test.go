@@ -115,6 +115,9 @@ func TestInDiskBoundary(t *testing.T) {
 	if !InDisk(c, 0, c) {
 		t.Error("zero-radius disk should contain its center")
 	}
+	if InDisk(c, -1, Pt(0.5, 0)) || InDisk(c, -1, c) {
+		t.Error("a negative radius is an empty disk")
+	}
 }
 
 func TestInGabrielDisk(t *testing.T) {

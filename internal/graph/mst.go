@@ -59,61 +59,137 @@ func KruskalMSFBy(g *Graph, cost func(Edge) float64) *Graph {
 
 // EuclideanMST returns the minimum spanning forest of the complete
 // Euclidean graph on pts, restricted to edges of length at most maxLen
-// (pass math.Inf(1) for the unrestricted MST). It uses dense Prim, O(n²),
-// which is the right tool for the instance sizes of this study and avoids
-// materializing the complete edge set.
+// (pass math.Inf(1) for the unrestricted MST). It is EuclideanMSTEdges
+// as a graph.
 func EuclideanMST(pts []geom.Point, maxLen float64) *Graph {
-	n := len(pts)
-	t := New(n)
-	if n == 0 {
-		return t
+	t := New(len(pts))
+	for _, e := range EuclideanMSTEdges(pts, maxLen) {
+		t.AddEdge(e.U, e.V, e.W)
 	}
-	const unseen = -2
+	return t
+}
+
+// EuclideanMSTEdges returns the edges of EuclideanMST(pts, maxLen) in
+// the order Prim adds them, so a caller that only needs the forest's
+// radii or its component count (n minus the edge count) builds no
+// graph.
+//
+// It is Prim's algorithm over a geom.Grid with a binary heap keyed by
+// (distance, index) and lazy deletion: each node relaxes only the nodes
+// within maxLen of it, so a range-limited forest costs
+// O(Σ_u |D(u, maxLen) ∩ V| · log n) rather than Θ(n²). The heap extracts
+// the node dense Prim extracts (the smallest distance, ties to the
+// smaller index), relaxation uses the same strict <, and every component
+// is started from its smallest index in ascending order, so the forest
+// is oracle.EuclideanMST's edge for edge, in the same order. The query
+// radius is capped at the bounding-box diagonal, which every pair lies
+// within, so the unrestricted forest takes the same path (at Θ(n²)
+// distance tests, since every query then spans the whole grid).
+func EuclideanMSTEdges(pts []geom.Point, maxLen float64) []Edge {
+	n := len(pts)
+	if n == 0 {
+		return nil
+	}
+	b := geom.Bounds(pts)
+	r := math.Min(maxLen, math.Hypot(b.Width(), b.Height()))
+	// Cells of side r keep a query to 3×3 cells; the 1/√n-of-the-extent
+	// floor keeps the cell count O(n) when r is tiny or zero.
+	cell := math.Max(r, math.Max(b.Width(), b.Height())/(1+math.Sqrt(float64(n))))
+	if !(cell > 0) {
+		cell = 1
+	}
+	grid := geom.NewGrid(pts, cell)
+
+	edges := make([]Edge, 0, n-1)
 	inTree := make([]bool, n)
 	bestD := make([]float64, n)
-	bestTo := make([]int, n)
+	bestTo := make([]int32, n)
 	for i := range bestD {
 		bestD[i] = math.Inf(1)
-		bestTo[i] = unseen
 	}
-	// Prim from every not-yet-spanned node so forests (disconnected point
-	// sets under maxLen) are handled.
+	var h primHeap
+	var buf []int
 	for start := 0; start < n; start++ {
 		if inTree[start] {
 			continue
 		}
 		bestD[start] = 0
 		bestTo[start] = -1
-		for {
-			// Extract the cheapest fringe node of this component.
-			u, ud := -1, math.Inf(1)
-			for v := 0; v < n; v++ {
-				if !inTree[v] && bestTo[v] != unseen && bestD[v] < ud {
-					u, ud = v, bestD[v]
-				}
-			}
-			if u < 0 {
-				break
+		h.push(0, int32(start))
+		for len(h) > 0 {
+			ud, u32 := h.pop()
+			u := int(u32)
+			if inTree[u] || ud != bestD[u] {
+				continue // stale: u was extracted or improved since
 			}
 			inTree[u] = true
 			if bestTo[u] >= 0 {
-				t.AddEdge(bestTo[u], u, ud)
+				edges = append(edges, NewEdge(int(bestTo[u]), u, ud))
 			}
-			for v := 0; v < n; v++ {
-				if inTree[v] || v == u {
-					continue
-				}
-				if !geom.InDisk(pts[u], maxLen, pts[v]) {
+			buf = grid.Within(pts[u], r, buf[:0])
+			for _, v := range buf {
+				if inTree[v] {
 					continue
 				}
 				if d := pts[u].Dist(pts[v]); d < bestD[v] {
 					bestD[v] = d
-					bestTo[v] = u
+					bestTo[v] = u32
+					h.push(d, int32(v))
 				}
 			}
 		}
 	}
-	return t
+	return edges
+}
+
+// primHeap is a binary min-heap of (distance, node) ordered by distance,
+// then node index: the extraction order of dense Prim's scan.
+type primHeap []primItem
+
+type primItem struct {
+	d float64
+	v int32
+}
+
+func (a primItem) less(b primItem) bool {
+	return a.d < b.d || (a.d == b.d && a.v < b.v)
+}
+
+func (h *primHeap) push(d float64, v int32) {
+	*h = append(*h, primItem{d, v})
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].less(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *primHeap) pop() (float64, int32) {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < len(s) && s[l].less(s[m]) {
+			m = l
+		}
+		if rc := 2*i + 2; rc < len(s) && s[rc].less(s[m]) {
+			m = rc
+		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top.d, top.v
 }
 
 // TotalWeight returns the sum of edge weights of g.

@@ -29,7 +29,8 @@
 // n ≈ 14 — enough to verify Theorem 5.2 and the A_apx approximation
 // ratios at small scale. Anneal is a simulated-annealing heuristic over
 // the same space for larger instances; it yields upper bounds on the
-// optimum and is labeled as such in experiments.
+// optimum and is labeled as such in experiments. Both return a radius
+// assignment, not a topology: RealizeForest builds one on request.
 package opt
 
 import (
@@ -48,11 +49,10 @@ import (
 type Result struct {
 	// Interference is I(G') of the best topology found.
 	Interference int
-	// Radii is the radius assignment attaining it.
+	// Radii is the radius assignment attaining it. RealizeForest(pts,
+	// Radii) turns it into a topology: a spanning forest of Ĝ(Radii), one
+	// tree per UDG component, with interference at most Interference.
 	Radii []float64
-	// Topology is a spanning forest of the mutual-reachability graph of
-	// Radii (one tree per UDG component).
-	Topology *graph.Graph
 	// Exact records whether the search proved optimality (false when the
 	// node budget ran out or the annealer produced the result).
 	Exact bool
@@ -101,7 +101,7 @@ func ExactBudgetWith(factory core.MeasureFactory, pts []geom.Point, budget int64
 		panic("opt: instance too large for exact search; use Anneal")
 	}
 	if n == 0 {
-		return Result{Topology: graph.New(0), Exact: true}
+		return Result{Exact: true}
 	}
 	sp := obs.Start("opt.exact")
 	defer sp.End()
@@ -148,37 +148,41 @@ func ExactBudgetWith(factory core.MeasureFactory, pts []geom.Point, budget int64
 	return Result{
 		Interference: s.best,
 		Radii:        s.bestRadii,
-		Topology:     RealizeForest(pts, s.bestRadii),
 		Exact:        s.budget > 0,
 		Visited:      s.visited,
 	}
 }
 
 // candidates returns, for each node, the ascending list of admissible
-// radii: distances to other nodes within unit range, starting at the
-// nearest-UDG-neighbor distance (nodes of non-singleton components need
-// at least one link), or {0} for isolated nodes. Each node's unit disk
-// is enumerated through the grid — O(n + Σ_u |D(u, 1) ∩ V|) total, the
-// difference between milliseconds and seconds at the annealer's n = 4096
-// scale; oracle.Candidates is the all-pairs reference.
+// radii (nodeCandidates for every node); Exact's branch-and-bound needs
+// them all up front.
 func candidates(pts []geom.Point, grid *geom.Grid) [][]float64 {
 	cand := make([][]float64, len(pts))
-	buf := make([]int, 0, 64)
+	var buf []int
 	for u := range pts {
-		var set []float64
-		buf = grid.Within(pts[u], udg.Radius, buf[:0])
-		for _, v := range buf {
-			if v != u {
-				set = append(set, pts[u].Dist(pts[v]))
-			}
-		}
-		if len(set) == 0 {
-			cand[u] = []float64{0}
-			continue
-		}
-		cand[u] = dedupeSorted(set)
+		cand[u], buf = nodeCandidates(pts, grid, u, buf)
 	}
 	return cand
+}
+
+// nodeCandidates returns u's ascending list of admissible radii:
+// distances to other nodes within unit range, starting at the
+// nearest-UDG-neighbor distance (nodes of non-singleton components need
+// at least one link), or {0} for an isolated node. u's unit disk is
+// enumerated through the grid, O(|D(u, 1) ∩ V|); oracle.Candidates is
+// the all-pairs reference. buf is scratch space, returned for reuse.
+func nodeCandidates(pts []geom.Point, grid *geom.Grid, u int, buf []int) ([]float64, []int) {
+	var set []float64
+	buf = grid.Within(pts[u], udg.Radius, buf[:0])
+	for _, v := range buf {
+		if v != u {
+			set = append(set, pts[u].Dist(pts[v]))
+		}
+	}
+	if len(set) == 0 {
+		return []float64{0}, buf
+	}
+	return dedupeSorted(set), buf
 }
 
 // dedupeSorted sorts set ascending and removes duplicates in place.
@@ -201,12 +205,23 @@ func dedupeSorted(set []float64) []float64 {
 // identical, so only the count is compared. Cost is O(n + Σ_u |D(u,
 // min(r_u, 1)) ∩ V|) per call — output-sensitive, against the Θ(n²) of
 // materializing MutualGraph.
+//
+// shrinkOK decides the annealer's radius decreases locally and falls
+// back to feasible only when its search budget runs out.
 type feasChecker struct {
 	pts    []geom.Point
 	grid   *geom.Grid
 	wantK  int
 	parent []int32
 	buf    []int
+
+	// shrinkOK's scratch: the endpoints of the lost edges, and the
+	// bidirectional search's per-node visit stamps, sides and queues.
+	lost  []int
+	epoch uint32
+	stamp []uint32
+	side  []uint8
+	queue [2][]int32
 }
 
 func newFeasChecker(pts []geom.Point, grid *geom.Grid, wantK int) *feasChecker {
@@ -215,6 +230,8 @@ func newFeasChecker(pts []geom.Point, grid *geom.Grid, wantK int) *feasChecker {
 		grid:   grid,
 		wantK:  wantK,
 		parent: make([]int32, len(pts)),
+		stamp:  make([]uint32, len(pts)),
+		side:   make([]uint8, len(pts)),
 	}
 }
 
@@ -263,6 +280,102 @@ func (fc *feasChecker) feasible(radii []float64) bool {
 		}
 	}
 	return comps == fc.wantK
+}
+
+// mutual reports whether {u, v} is an edge of Ĝ as feasible counts it
+// when u has radius ru and v radius rv: the smaller index must transmit
+// (feasible skips silent nodes) and reach the other within unit range,
+// and the larger must reach back.
+func (fc *feasChecker) mutual(u, v int, ru, rv float64) bool {
+	if u > v {
+		u, v, ru, rv = v, u, rv, ru
+	}
+	return ru > 0 && geom.InDisk(fc.pts[u], math.Min(ru, udg.Radius), fc.pts[v]) &&
+		geom.InDisk(fc.pts[v], rv, fc.pts[u])
+}
+
+// shrinkBudget caps the node expansions one shrinkOK call may spend on
+// its searches before it gives up and leaves the answer to feasible.
+const shrinkBudget = 512
+
+// shrinkOK decides whether lowering radii[u] to r keeps Ĝ(radii)
+// feasible, given that it is feasible now. Shrinking r_u only removes
+// edges at u, so the partition survives iff each lost edge's endpoints
+// stay connected in the shrunk Ĝ. Each lost edge (u, v) gets a
+// bidirectional search from u and v through the grid: the sides meeting
+// proves the pair connected; one side running out of nodes proves the
+// split. Either way the answer is certain and equals feasible's. When
+// the searches together expand more than shrinkBudget nodes, shrinkOK
+// returns certain == false and the caller must ask feasible. radii is
+// restored before it returns.
+func (fc *feasChecker) shrinkOK(radii []float64, u int, r float64) (ok, certain bool) {
+	old := radii[u]
+	fc.lost = fc.lost[:0]
+	fc.buf = fc.grid.Within(fc.pts[u], math.Min(old, udg.Radius), fc.buf[:0])
+	for _, v := range fc.buf {
+		if v != u && fc.mutual(u, v, old, radii[v]) && !fc.mutual(u, v, r, radii[v]) {
+			fc.lost = append(fc.lost, v)
+		}
+	}
+	radii[u] = r
+	budget := shrinkBudget
+	ok, certain = true, true
+	for _, v := range fc.lost {
+		if ok, certain = fc.linked(radii, u, v, &budget); !ok || !certain {
+			break
+		}
+	}
+	radii[u] = old
+	return ok, certain
+}
+
+// linked runs a bidirectional breadth-first search in Ĝ(radii) between
+// s and t, always expanding from the side with the shorter queue, and
+// charges each expansion to budget. It reports (true, true) when the
+// sides meet, (false, true) when one side's component is exhausted
+// without meeting, and (false, false) when the budget runs out first.
+func (fc *feasChecker) linked(radii []float64, s, t int, budget *int) (ok, certain bool) {
+	fc.epoch++
+	if fc.epoch == 0 { // wrapped: old stamps could alias the new epoch
+		clear(fc.stamp)
+		fc.epoch = 1
+	}
+	ep := fc.epoch
+	fc.stamp[s], fc.side[s] = ep, 0
+	fc.stamp[t], fc.side[t] = ep, 1
+	fc.queue[0] = append(fc.queue[0][:0], int32(s))
+	fc.queue[1] = append(fc.queue[1][:0], int32(t))
+	var head [2]int
+	for {
+		sd := uint8(0)
+		if len(fc.queue[1])-head[1] < len(fc.queue[0])-head[0] {
+			sd = 1
+		}
+		if head[sd] == len(fc.queue[sd]) {
+			return false, true // this side's whole component, without the other
+		}
+		if *budget == 0 {
+			return false, false
+		}
+		*budget--
+		x := int(fc.queue[sd][head[sd]])
+		head[sd]++
+		rx := radii[x]
+		fc.buf = fc.grid.Within(fc.pts[x], math.Min(rx, udg.Radius), fc.buf[:0])
+		for _, y := range fc.buf {
+			if y == x || !fc.mutual(x, y, rx, radii[y]) {
+				continue
+			}
+			if fc.stamp[y] == ep {
+				if fc.side[y] != sd {
+					return true, true
+				}
+				continue
+			}
+			fc.stamp[y], fc.side[y] = ep, sd
+			fc.queue[sd] = append(fc.queue[sd], int32(y))
+		}
+	}
 }
 
 type exactSearch struct {
@@ -376,20 +489,25 @@ func RealizeForest(pts []geom.Point, radii []float64) *graph.Graph {
 	return graph.KruskalMSF(MutualGraph(pts, radii))
 }
 
-// Anneal searches radius assignments by simulated annealing, returning a
-// feasible topology and an upper bound on the optimal interference. The
-// search space and feasibility test match Exact; a move picks a node and
+// Anneal searches radius assignments by simulated annealing, returning
+// an upper bound on the optimal interference and the radius assignment
+// attaining it (RealizeForest turns it into a topology). The search
+// space and feasibility test match Exact; a move picks a node and
 // retargets its radius to a random candidate, rejected outright when it
 // breaks connectivity.
 //
-// The hot loop is fully incremental: interference deltas come from the
-// persistent evaluator (O(|annulus|) per move instead of a full
-// re-evaluation), and connectivity is only re-checked on radius
-// decreases — growing a radius adds mutual edges, and adding edges to a
-// subgraph of the UDG whose partition already equals the UDG's cannot
-// change the partition. Decreases run through the grid-backed union-find
-// checker. oracle.AnnealFull is the recompute-everything reference walk;
-// both draw identically from rng, so they walk the same move sequence.
+// A call costs what it touches. The start is the range-limited
+// Euclidean MST's radii (grid Prim), and the UDG's component count is
+// read off that forest. A node's candidate list is built the first time
+// the walk draws it. Interference deltas come from the persistent
+// evaluator (O(|annulus|) per move). Connectivity is only re-checked on
+// radius decreases — growing a radius adds mutual edges, and adding
+// edges to a subgraph of the UDG whose partition already equals the
+// UDG's cannot change the partition — and a decrease is decided locally
+// by searching around the edges it loses (feasChecker.shrinkOK), with
+// the whole-instance union-find as the fallback. oracle.AnnealFull is
+// the recompute-everything reference walk; both draw identically from
+// rng, so they walk the same move sequence.
 func Anneal(pts []geom.Point, rng *rand.Rand, iters int) Result {
 	return AnnealWith(core.GraphMeasure, pts, rng, iters)
 }
@@ -401,21 +519,33 @@ func Anneal(pts []geom.Point, rng *rand.Rand, iters int) Result {
 func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, iters int) Result {
 	n := len(pts)
 	if n == 0 {
-		return Result{Topology: graph.New(0)}
+		return Result{}
 	}
 	sp := obs.Start("opt.anneal")
 	defer sp.End()
 	setup := sp.Child("opt.anneal.setup")
-	base := udg.Build(pts)
-	_, wantK := base.Components()
+	// Start from the MST radii (feasible by construction). The forest
+	// spans each UDG component with one tree, so it also counts them.
+	mst := graph.EuclideanMSTEdges(pts, udg.Radius)
+	wantK := n - len(mst)
+	cur := core.EdgeRadii(n, mst)
 
 	ev := factory(pts)
 	fc := newFeasChecker(pts, ev.Grid(), wantK)
-	cand := candidates(pts, ev.Grid())
+	cand := make([][]float64, n)
+	var candBuf []int
+	// shrinkOK presumes the current state feasible. Every MST edge is
+	// mutual unless a zero-length edge leaves its smaller end silent,
+	// which feasible does not count; only then must the start be checked,
+	// and if it fails, every decrease goes to feasible.
+	local := true
+	for _, e := range mst {
+		if cur[e.U] <= 0 {
+			local = fc.feasible(cur)
+			break
+		}
+	}
 
-	// Start from the MST radii (feasible by construction).
-	mst := graph.EuclideanMST(pts, udg.Radius)
-	cur := core.Radii(pts, mst)
 	ev.BatchSet(cur, 0)
 	curI := ev.Max()
 	best := append([]float64(nil), cur...)
@@ -423,7 +553,7 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 	setup.End()
 
 	loop := sp.Child("opt.anneal.loop")
-	var accepted, rejected int64
+	var accepted, rejected, shrinks, fallbacks int64
 	var chunk *obs.Span
 	temp := 2.0
 	cool := math.Pow(0.01/temp, 1/math.Max(1, float64(iters)))
@@ -436,6 +566,9 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 			chunk = loop.Child("opt.anneal.iters64")
 		}
 		u := rng.Intn(n)
+		if cand[u] == nil {
+			cand[u], candBuf = nodeCandidates(pts, ev.Grid(), u, candBuf)
+		}
 		r := cand[u][rng.Intn(len(cand[u]))]
 		if r == cur[u] {
 			temp *= cool
@@ -443,15 +576,24 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 		}
 		if r < cur[u] {
 			// Shrinking can disconnect; test before touching the state.
-			cur[u] = r
-			ok := fc.feasible(cur)
-			if !ok {
+			shrinks++
+			ok, certain := false, false
+			if local {
+				ok, certain = fc.shrinkOK(cur, u, r)
+			}
+			if !certain {
+				if local {
+					fallbacks++
+				}
+				cur[u] = r
+				ok = fc.feasible(cur)
 				cur[u] = ev.Radius(u)
+			}
+			if !ok {
 				temp *= cool
 				rejected++
 				continue
 			}
-			cur[u] = ev.Radius(u)
 		}
 		old := ev.SetRadius(u, r)
 		newI := ev.Max()
@@ -476,11 +618,12 @@ func AnnealWith(factory core.MeasureFactory, pts []geom.Point, rng *rand.Rand, i
 		obsAnnealIters.Add(int64(iters))
 		obsAnnealAccepted.Add(accepted)
 		obsAnnealRejected.Add(rejected)
+		obsAnnealShrinks.Add(shrinks)
+		obsAnnealFallbacks.Add(fallbacks)
 	}
 	return Result{
 		Interference: bestI,
 		Radii:        best,
-		Topology:     RealizeForest(pts, best),
 		Exact:        false,
 	}
 }

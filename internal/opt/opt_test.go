@@ -18,7 +18,7 @@ func TestExactTrivial(t *testing.T) {
 		t.Error("empty instance wrong")
 	}
 	r = Exact([]geom.Point{geom.Pt(0, 0)})
-	if r.Interference != 0 || r.Topology.M() != 0 {
+	if r.Interference != 0 || RealizeForest([]geom.Point{geom.Pt(0, 0)}, r.Radii).M() != 0 {
 		t.Error("singleton instance wrong")
 	}
 	r = Exact([]geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0)})
@@ -37,7 +37,8 @@ func TestExactResultIsFeasibleAndConsistent(t *testing.T) {
 			t.Fatalf("trial %d: budget exhausted on tiny instance", trial)
 		}
 		base := udg.Build(pts)
-		if !graph.SameComponents(base, res.Topology) {
+		topo := RealizeForest(pts, res.Radii)
+		if !graph.SameComponents(base, topo) {
 			t.Fatalf("trial %d: optimal topology breaks connectivity", trial)
 		}
 		// The claimed interference must match the radius assignment and
@@ -45,7 +46,7 @@ func TestExactResultIsFeasibleAndConsistent(t *testing.T) {
 		if got := core.InterferenceRadii(pts, res.Radii).Max(); got != res.Interference {
 			t.Fatalf("trial %d: radii interference %d != claimed %d", trial, got, res.Interference)
 		}
-		if got := core.Interference(pts, res.Topology).Max(); got > res.Interference {
+		if got := core.Interference(pts, topo).Max(); got > res.Interference {
 			t.Fatalf("trial %d: realized topology %d > claimed %d", trial, got, res.Interference)
 		}
 	}
@@ -163,7 +164,7 @@ func TestAnnealFeasibleAndNotWorseThanMST(t *testing.T) {
 		if res.Exact {
 			t.Error("Anneal must not claim exactness")
 		}
-		if !graph.SameComponents(base, res.Topology) {
+		if !graph.SameComponents(base, RealizeForest(pts, res.Radii)) {
 			t.Fatalf("trial %d: annealed topology breaks connectivity", trial)
 		}
 		mstI := core.Interference(pts, graph.EuclideanMST(pts, udg.Radius)).Max()
@@ -230,7 +231,7 @@ func TestExactBudgetExhaustionStillFeasible(t *testing.T) {
 	if res.Exact {
 		t.Fatal("10-node budget cannot prove optimality on a 12-node chain")
 	}
-	if !res.Topology.Connected() {
+	if !RealizeForest(pts, res.Radii).Connected() {
 		t.Fatal("budgeted result must stay feasible")
 	}
 	full := Exact(pts)

@@ -56,7 +56,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		if !oracle.Feasible(pts, res.Radii) {
 			t.Fatalf("trial %d: Exact returned infeasible radii", trial)
 		}
-		if got := oracle.InterferenceOf(pts, res.Topology); got > res.Interference {
+		if got := oracle.InterferenceOf(pts, opt.RealizeForest(pts, res.Radii)); got > res.Interference {
 			t.Fatalf("trial %d: realized topology has I=%d above the radii's %d", trial, got, res.Interference)
 		}
 	}

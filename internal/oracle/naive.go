@@ -162,9 +162,64 @@ func Components(pts []geom.Point) ([]int, int) {
 	return label, k
 }
 
+// EuclideanMST is the reference for graph.EuclideanMST: dense Prim,
+// O(n²), over the complete Euclidean graph restricted to edges of length
+// at most maxLen. Each component is started from its smallest unspanned
+// index in ascending order; a step extracts the cheapest fringe node
+// (ties to the smaller index) and relaxes every other node with a strict
+// <. The grid-and-heap version must return this forest edge for edge, in
+// this insertion order, with bit-equal weights.
+func EuclideanMST(pts []geom.Point, maxLen float64) *graph.Graph {
+	n := len(pts)
+	t := graph.New(n)
+	if n == 0 {
+		return t
+	}
+	const unseen = -2
+	inTree := make([]bool, n)
+	bestD := make([]float64, n)
+	bestTo := make([]int, n)
+	for i := range bestD {
+		bestD[i] = math.Inf(1)
+		bestTo[i] = unseen
+	}
+	for start := 0; start < n; start++ {
+		if inTree[start] {
+			continue
+		}
+		bestD[start] = 0
+		bestTo[start] = -1
+		for {
+			u, ud := -1, math.Inf(1)
+			for v := 0; v < n; v++ {
+				if !inTree[v] && bestTo[v] != unseen && bestD[v] < ud {
+					u, ud = v, bestD[v]
+				}
+			}
+			if u < 0 {
+				break
+			}
+			inTree[u] = true
+			if bestTo[u] >= 0 {
+				t.AddEdge(bestTo[u], u, ud)
+			}
+			for v := 0; v < n; v++ {
+				if inTree[v] || !geom.InDisk(pts[u], maxLen, pts[v]) {
+					continue
+				}
+				if d := pts[u].Dist(pts[v]); d < bestD[v] {
+					bestD[v] = d
+					bestTo[v] = u
+				}
+			}
+		}
+	}
+	return t
+}
+
 // MSTWeight returns the total weight of a minimum spanning forest of the
 // UDG by the textbook O(n³) Prim (one pass per component, no heap) — the
-// reference for graph.EuclideanMST's filtered Kruskal.
+// weight-only reference for graph.EuclideanMST.
 func MSTWeight(pts []geom.Point) float64 {
 	n := len(pts)
 	inTree := make([]bool, n)
@@ -335,7 +390,7 @@ func AnnealFull(pts []geom.Point, rng *rand.Rand, iters int) (int, []float64) {
 	if n == 0 {
 		return 0, nil
 	}
-	cur := Radii(pts, graph.EuclideanMST(pts, udg.Radius))
+	cur := Radii(pts, EuclideanMST(pts, udg.Radius))
 	curI := Interference(pts, cur).Max()
 	best := append([]float64(nil), cur...)
 	bestI := curI

@@ -58,6 +58,7 @@ func TestOracleRangeShell(t *testing.T) {
 		check("oracle.MutualGraph", oracle.MutualGraph(pts, both).HasEdge(0, 1))
 		check("oracle.MSTWeight", oracle.MSTWeight(pts) > 1)
 		check("graph.EuclideanMST", graph.EuclideanMST(pts, udg.Radius).HasEdge(0, 1))
+		check("oracle.EuclideanMST", oracle.EuclideanMST(pts, udg.Radius).HasEdge(0, 1))
 		check("oracle.Candidates", len(oracle.Candidates(pts)[0]) == 2)
 		check("opt.MutualGraph", opt.MutualGraph(pts, both).HasEdge(0, 1))
 		check("opt.RealizeForest", opt.RealizeForest(pts, both).HasEdge(0, 1))
@@ -82,5 +83,23 @@ func TestOracleRangeShell(t *testing.T) {
 
 		tree := gather.Tree{Sink: 0, Parent: []int{-1, 0, 0}}
 		check("gather.Tree.Validate", tree.Validate(pts) == nil)
+	}
+
+	// A negative radius is an empty disk at every site that takes one: the
+	// oracle's scans agree with the grid, and the forests have no edges.
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0)}
+	grid := geom.NewGrid(pts, 1)
+	for site, admits := range map[string]bool{
+		"geom.InDisk":          geom.InDisk(pts[0], -1, pts[1]),
+		"oracle.Within":        len(oracle.Within(pts, pts[0], -1)) > 0,
+		"oracle.WithinAnnulus": len(oracle.WithinAnnulus(pts, pts[0], -2, -1)) > 0,
+		"Grid.Within":          len(grid.Within(pts[0], -1, nil)) > 0,
+		"Grid.CountWithin":     grid.CountWithin(pts[0], -1) > 0,
+		"graph.EuclideanMST":   graph.EuclideanMST(pts, -1).M() > 0,
+		"oracle.EuclideanMST":  oracle.EuclideanMST(pts, -1).M() > 0,
+	} {
+		if admits {
+			t.Errorf("r=-1: %s admits a point or an edge, want none", site)
+		}
 	}
 }

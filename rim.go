@@ -193,14 +193,20 @@ func UniformSquare(rng *rand.Rand, n int, side float64) []Point {
 	return gen.UniformSquare(rng, n, side)
 }
 
-// OptimalExact computes the provably minimum-interference connectivity-
-// preserving topology (n ≤ opt.MaxExactN).
+// OptimalExact computes the provably minimum interference over
+// connectivity-preserving topologies and a radius assignment attaining
+// it (n ≤ opt.MaxExactN); RealizeForest turns the radii into a topology.
 func OptimalExact(pts []Point) OptResult { return opt.Exact(pts) }
 
 // OptimalAnneal upper-bounds the optimum by simulated annealing.
 func OptimalAnneal(pts []Point, rng *rand.Rand, iters int) OptResult {
 	return opt.Anneal(pts, rng, iters)
 }
+
+// RealizeForest returns a topology realizing a radius assignment such as
+// OptResult.Radii: a shortest-edge spanning forest of the mutual-
+// reachability graph, with interference at most the assignment's.
+func RealizeForest(pts []Point, radii []float64) *Graph { return opt.RealizeForest(pts, radii) }
 
 // NewNetwork precomputes the simulator's radio layout for a topology.
 func NewNetwork(pts []Point, topo *Graph) *Network { return sim.NewNetwork(pts, topo) }
