@@ -29,20 +29,25 @@
 // Settling: arrivals, departures and moves latch the connectivity repair
 // and drift check they owe, and one routine pays them — right after the
 // operation, or once at EndBatch under BeginBatch. Every topology edge
-// is a UDG edge, so the repair's crossing-edge scan is also the whole
-// "topology matches the UDG" check. Drift control: local rules
-// accumulate suboptimality, so the maintainer tracks I(G')
-// incrementally and rebuilds with the greedy constructor when the
-// maintained value exceeds RebuildFactor times the last rebuild's value,
-// or when arrivals merged UDG components the topology keeps apart. The
-// X8-style test measures how rarely that fires.
+// is a UDG edge, so the repair's crossing-edge search is also the whole
+// "topology matches the UDG" check. The search is local too: the
+// maintainer keeps a component label per node, the operations record
+// the nodes whose edges they changed, and a settle explores only the
+// components those nodes lie in and disk-queries only the nodes a
+// crossing edge can start from, never the whole instance.
+//
+// Drift control: local rules accumulate suboptimality, so the
+// maintainer tracks I(G') incrementally and rebuilds with the greedy
+// constructor when the maintained value exceeds RebuildFactor times the
+// last rebuild's value, or when arrivals merged UDG components the
+// topology keeps apart. The X8-style test measures how rarely that
+// fires.
 package dynamic
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -150,6 +155,30 @@ type Maintainer struct {
 	deferring  bool
 	needRepair bool
 	needCheck  bool
+
+	// Component labels and the changes recorded since the last settle
+	// (see settle.go).
+	label   []int32
+	size    []int32
+	free    []int32
+	touched []int32
+	moved   []int32
+
+	// Settle scratch, stamped and reused so a settle allocates nothing
+	// in steady state.
+	stamp    uint64
+	nodeScr  []nodeScratch
+	labelScr []labelScratch
+	nodes    []int32 // explored pieces, concatenated
+	pieceAt  []int32 // piece p is nodes[pieceAt[p]:pieceAt[p+1]]
+	plabels  []int32 // old labels met in the piece being explored
+	query    []int32
+	buf      []int
+	cross    []graph.Edge
+	parent   []int32 // union-find over pieces, then untouched components
+	rep      []int32 // a node of each untouched component in parent
+	target   []int32
+	walk     []int32
 }
 
 // New starts a maintainer over the initial instance, built with the
@@ -207,6 +236,12 @@ func (m *Maintainer) Snapshot() RestoreState {
 // counters carry over. A restored maintainer is behaviorally identical
 // to the one snapshotted — the crash-recovery property test holds it
 // against a from-scratch replay. nil factory selects core.NewEvaluator.
+//
+// Restore returns an error, never panics, on a state no maintainer can
+// be in: NaN or negative radii, edges out of range, self-loops, edges
+// that are not UDG edges, or a topology whose partition differs from
+// the UDG's (one disk query per node). Snapshots are taken between
+// batches, where the settle has made the partitions agree.
 func Restore(st RestoreState, rebuildFactor float64, factory EngineFactory) (*Maintainer, error) {
 	if len(st.Radii) != len(st.Points) {
 		return nil, fmt.Errorf("dynamic: restore: %d radii for %d points", len(st.Radii), len(st.Points))
@@ -218,15 +253,29 @@ func Restore(st RestoreState, rebuildFactor float64, factory EngineFactory) (*Ma
 	if m.factory == nil {
 		m.factory = func(pts []geom.Point) Engine { return core.NewEvaluator(pts) }
 	}
+	for i, r := range st.Radii {
+		if math.IsNaN(r) || r < 0 {
+			return nil, fmt.Errorf("dynamic: restore: node %d has radius %v", i, r)
+		}
+	}
 	m.topo = graph.New(len(st.Points))
 	for _, e := range st.Edges {
-		if e.U < 0 || e.U >= len(st.Points) || e.V < 0 || e.V >= len(st.Points) {
+		switch {
+		case e.U < 0 || e.U >= len(st.Points) || e.V < 0 || e.V >= len(st.Points):
 			return nil, fmt.Errorf("dynamic: restore: edge (%d,%d) out of range for %d points", e.U, e.V, len(st.Points))
+		case e.U == e.V:
+			return nil, fmt.Errorf("dynamic: restore: self-loop at node %d", e.U)
+		case !geom.InDisk(st.Points[e.U], udg.Radius, st.Points[e.V]):
+			return nil, fmt.Errorf("dynamic: restore: edge (%d,%d) is not a UDG edge", e.U, e.V)
 		}
 		m.topo.AddEdge(e.U, e.V, e.W)
 	}
 	m.eng = m.factory(st.Points)
 	m.eng.BatchSet(st.Radii, 0)
+	m.relabel()
+	if u, v, ok := m.crossingEdge(); ok {
+		return nil, fmt.Errorf("dynamic: restore: UDG edge (%d,%d) crosses two topology components", u, v)
+	}
 	m.baseline = st.Baseline
 	m.events = st.Events
 	m.rebuilds = st.Rebuilds
@@ -268,6 +317,7 @@ func (m *Maintainer) rebuild(pts []geom.Point) {
 		obsRebuilds.Inc()
 	}
 	m.topo = topology.GreedyMinI(pts)
+	m.relabel()
 	m.eng = m.factory(pts)
 	m.eng.BatchSet(core.Radii(pts, m.topo), 0)
 	m.baseline = m.eng.Max()
@@ -301,14 +351,20 @@ func (m *Maintainer) Insert(p geom.Point) int {
 	}
 	m.events++
 	idx := m.eng.AddPoint(p)
-	grown := graph.New(idx + 1)
-	for _, e := range m.topo.Edges() {
-		grown.AddEdge(e.U, e.V, e.W)
-	}
-	m.topo = grown
+	// The topology grows in place. Rethread puts every adjacency list in
+	// edge-list order, as the edge-by-edge copy that used to grow it did:
+	// Move drops a node's edges in adjacency order, and the edge list's
+	// order after those swap-removes is part of the maintained output.
+	m.topo.AddNode()
+	m.topo.Rethread()
+	l := m.newLabel()
+	m.size[l] = 1
+	m.label = append(m.label, l)
+	m.moved = append(m.moved, int32(idx))
 	// Nearest in-range neighbor, straight off the evaluator's grid.
 	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
 		m.topo.AddEdge(idx, best, bestD)
+		m.record(idx, best)
 		m.eng.SetRadius(idx, bestD)
 		old := m.eng.GrowTo(best, bestD)
 		m.touch(m.points()[best], math.Max(old, bestD))
@@ -352,7 +408,9 @@ func (m *Maintainer) Remove(idx int) {
 		m.touch(m.points()[v], math.Max(old, far))
 	}
 	m.eng.RemovePoint(idx)
-	// Rebuild the topology over the surviving nodes with edges remapped.
+	m.forget(idx)
+	// Rebuild the topology over the surviving nodes with edges remapped;
+	// the victim's neighbors are touched.
 	remap := func(v int) int {
 		if v > idx {
 			return v - 1
@@ -361,10 +419,14 @@ func (m *Maintainer) Remove(idx int) {
 	}
 	ng := graph.New(len(m.points()))
 	for _, e := range m.topo.Edges() {
-		if e.U == idx || e.V == idx {
-			continue
+		switch idx {
+		case e.U:
+			m.touched = append(m.touched, int32(remap(e.V)))
+		case e.V:
+			m.touched = append(m.touched, int32(remap(e.U)))
+		default:
+			ng.AddEdge(remap(e.U), remap(e.V), e.W)
 		}
-		ng.AddEdge(remap(e.U), remap(e.V), e.W)
 	}
 	m.topo = ng
 	m.needRepair, m.needCheck = true, true
@@ -413,6 +475,7 @@ func (m *Maintainer) Anneal(seed int64, iters int) int {
 		res := opt.AnnealWith(m.factory, m.points(), rand.New(rand.NewSource(seed)), iters)
 		m.eng.BatchSet(res.Radii, 0)
 		m.topo = opt.RealizeForest(m.points(), res.Radii)
+		m.relabel()
 		m.baseline = m.eng.Max()
 	}
 	m.fire(Event{Kind: EventAnneal, Index: -1, Max: m.eng.Max()})
@@ -443,6 +506,7 @@ func (m *Maintainer) Move(idx int, p geom.Point) {
 	nbrs := append([]int(nil), m.topo.Neighbors(idx)...)
 	for _, v := range nbrs {
 		m.topo.RemoveEdge(idx, v)
+		m.record(idx, v)
 	}
 	for _, v := range nbrs {
 		far := 0.0
@@ -460,10 +524,12 @@ func (m *Maintainer) Move(idx int, p geom.Point) {
 	m.eng.MovePoint(idx, p)
 	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
 		m.topo.AddEdge(idx, best, bestD)
+		m.record(idx, best)
 		m.eng.SetRadius(idx, bestD)
 		old := m.eng.GrowTo(best, bestD)
 		m.touch(m.points()[best], math.Max(old, bestD))
 	}
+	m.moved = append(m.moved, int32(idx))
 	m.touch(p, m.eng.Radius(idx))
 	m.needRepair, m.needCheck = true, true
 	m.fire(Event{Kind: EventMove, Index: idx, Max: m.eng.Max()})
@@ -471,9 +537,9 @@ func (m *Maintainer) Move(idx int, p geom.Point) {
 }
 
 // BeginBatch defers connectivity repair and drift control until the
-// matching EndBatch, so a batch of k mutations pays one connectivity
-// pass instead of k (each pass labels the whole topology, O(n) even when
-// the operation itself touches a constant-size neighborhood).
+// matching EndBatch, so a batch of k mutations pays one settle instead
+// of k (a settle explores every topology component the batch touched,
+// and a component several operations touch is explored once).
 // Interference bookkeeping stays exact throughout — only reconnection and
 // rebuild decisions are postponed, so mid-batch the maintained topology
 // may transiently disagree with the UDG's component structure. Event.Max
@@ -505,7 +571,10 @@ func (m *Maintainer) EndBatch() {
 // edge crosses two topology components. A due repair joins the crossing
 // edges; when none is due (only arrivals since the last settle), a
 // crossing edge means an arrival merged two UDG components the topology
-// still keeps apart, and drift control rebuilds.
+// still keeps apart, and drift control rebuilds. repairConnectivity
+// finds the crossing edges from the recorded changes and the maintained
+// component labels, in time proportional to the components the changes
+// touched (settle.go).
 func (m *Maintainer) settle() {
 	if m.deferring || !m.needCheck {
 		return
@@ -517,108 +586,4 @@ func (m *Maintainer) settle() {
 		float64(m.eng.Max()) > m.RebuildFactor*float64(m.baseline)+1e-9 {
 		m.rebuild(m.points())
 	}
-}
-
-// repairConnectivity looks for UDG edges crossing two topology
-// components and reports whether the partitions still differ afterwards.
-// With join unset it only looks, stopping at the first crossing edge.
-// With join set it reconnects the components with the shortest crossing
-// edge per component pair (iterated until the component structures
-// agree), growing every repair edge's endpoint radii through the
-// evaluator so the maintained interference stays exact, and reports
-// false.
-func (m *Maintainer) repairConnectivity(join bool) bool {
-	tl, tk := m.topo.Components()
-	if tk == 1 {
-		// The topology is a subgraph of the UDG, so a connected topology
-		// already matches the UDG partition — no UDG build needed.
-		return false
-	}
-	// Repeatedly joining the globally shortest UDG edge that crosses two
-	// topology components is Kruskal's algorithm restricted to crossing
-	// edges: sort them once and merge with a union-find over the
-	// component labels. The edge set chosen is identical to the iterated
-	// global-minimum greedy (same (W, U, V) tie-break), without the
-	// per-edge O(n + m) relabeling that dominated batch-churn profiles.
-	//
-	// The crossing edges are enumerated without materializing the UDG:
-	// every crossing edge has at least one endpoint outside the largest
-	// topology component (two giant-labeled endpoints cannot cross), so
-	// only fragment nodes need a disk query against the engine's live
-	// grid — under churn that is a few nodes, not n, and building the
-	// full UDG graph here dominated the batch pipeline's CPU.
-	size := make([]int, tk)
-	for _, l := range tl {
-		size[l]++
-	}
-	giant := 0
-	for l, s := range size {
-		if s > size[giant] {
-			giant = l
-		}
-	}
-	pts := m.points()
-	grid := m.eng.Grid()
-	var cross []graph.Edge
-	var buf []int
-	for u, lu := range tl {
-		if lu == giant {
-			continue
-		}
-		buf = grid.Within(pts[u], udg.Radius, buf[:0])
-		for _, v := range buf {
-			if v == u || tl[v] == lu {
-				continue
-			}
-			if tl[v] != giant && v < u {
-				continue // fragment–fragment pair: emitted once, at the lower index
-			}
-			if !join {
-				return true
-			}
-			a, b := u, v
-			if b < a {
-				a, b = b, a
-			}
-			cross = append(cross, graph.Edge{U: a, V: b, W: pts[u].Dist(pts[v])})
-		}
-	}
-	sort.Slice(cross, func(i, j int) bool {
-		a, b := cross[i], cross[j]
-		if a.W != b.W {
-			return a.W < b.W
-		}
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		return a.V < b.V
-	})
-	parent := make([]int, tk)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range cross {
-		ru, rv := find(tl[e.U]), find(tl[e.V])
-		if ru == rv {
-			continue
-		}
-		parent[ru] = rv
-		m.topo.AddEdge(e.U, e.V, e.W)
-		oldU := m.eng.GrowTo(e.U, e.W)
-		oldV := m.eng.GrowTo(e.V, e.W)
-		m.touch(m.points()[e.U], math.Max(oldU, e.W))
-		m.touch(m.points()[e.V], math.Max(oldV, e.W))
-		if obs.On() {
-			obsRepairEdges.Inc()
-		}
-	}
-	return false
 }

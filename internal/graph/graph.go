@@ -73,6 +73,27 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// AddNode appends an isolated node and returns its index, n-1 of the
+// grown graph. Existing nodes, edges and the edge order are unchanged.
+func (g *Graph) AddNode() int {
+	g.adj = append(g.adj, nil)
+	g.n++
+	return g.n - 1
+}
+
+// Rethread rebuilds every adjacency list in edge-list order: the order a
+// graph built edge by edge from Edges() has. Edges and their order are
+// unchanged. It costs O(n + m) and allocates nothing.
+func (g *Graph) Rethread() {
+	for u := range g.adj {
+		g.adj[u] = g.adj[u][:0]
+	}
+	for _, e := range g.edges {
+		g.adj[e.U] = append(g.adj[e.U], e.V)
+		g.adj[e.V] = append(g.adj[e.V], e.U)
+	}
+}
+
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 

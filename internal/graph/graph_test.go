@@ -147,6 +147,62 @@ func TestClone(t *testing.T) {
 	}
 }
 
+func TestAddNode(t *testing.T) {
+	g := New(2)
+	g.AddEdge(0, 1, 1)
+	if idx := g.AddNode(); idx != 2 || g.N() != 3 || g.Degree(2) != 0 {
+		t.Fatalf("AddNode = %d, N = %d, deg = %d; want 2, 3, 0", idx, g.N(), g.Degree(2))
+	}
+	g.AddEdge(2, 0, 2)
+	if es := g.Edges(); len(es) != 2 || es[0] != (Edge{0, 1, 1}) || es[1] != (Edge{0, 2, 2}) {
+		t.Errorf("edges after AddNode = %v", es)
+	}
+	if _, k := g.Components(); k != 1 {
+		t.Errorf("%d components, want 1", k)
+	}
+}
+
+// TestRethreadMatchesCopy: after swap-removes have scrambled adjacency
+// order, Rethread leaves every list exactly as a graph rebuilt edge by
+// edge from Edges() has it.
+func TestRethreadMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := New(12)
+	for i := 0; i < 40; i++ {
+		u, v := rng.Intn(12), rng.Intn(12)
+		if u == v {
+			continue
+		}
+		if rng.Intn(3) == 0 {
+			g.RemoveEdge(u, v)
+		} else {
+			g.AddEdge(u, v, float64(i))
+		}
+	}
+	want := New(g.N())
+	for _, e := range g.Edges() {
+		want.AddEdge(e.U, e.V, e.W)
+	}
+	edges := append([]Edge(nil), g.Edges()...)
+	g.Rethread()
+	for u := 0; u < g.N(); u++ {
+		got, exp := g.Neighbors(u), want.Neighbors(u)
+		if len(got) != len(exp) {
+			t.Fatalf("node %d: adjacency %v, want %v", u, got, exp)
+		}
+		for i := range got {
+			if got[i] != exp[i] {
+				t.Fatalf("node %d: adjacency %v, want %v", u, got, exp)
+			}
+		}
+	}
+	for i, e := range g.Edges() {
+		if e != edges[i] {
+			t.Fatalf("edge %d changed: %v, was %v", i, e, edges[i])
+		}
+	}
+}
+
 func TestSortedEdgesDeterministic(t *testing.T) {
 	g := New(4)
 	g.AddEdge(2, 3, 1)

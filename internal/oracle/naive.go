@@ -162,6 +162,23 @@ func Components(pts []geom.Point) ([]int, int) {
 	return label, k
 }
 
+// RepairEdges is the reference for dynamic.Maintainer's connectivity
+// repair: Kruskal, in (W, U, V) order, over every edge of the quadratic
+// UDG whose endpoints lie in different components of topo. It returns
+// the edges Kruskal joins, in join order — the edges a settle due to
+// repair must append to topo. topo is not modified.
+func RepairEdges(pts []geom.Point, topo *graph.Graph) []graph.Edge {
+	label, k := topo.Components()
+	uf := graph.NewUnionFind(k)
+	var joined []graph.Edge
+	for _, e := range UDG(pts).SortedEdges() {
+		if label[e.U] != label[e.V] && uf.Union(label[e.U], label[e.V]) {
+			joined = append(joined, e)
+		}
+	}
+	return joined
+}
+
 // EuclideanMST is the reference for graph.EuclideanMST: dense Prim,
 // O(n²), over the complete Euclidean graph restricted to edges of length
 // at most maxLen. Each component is started from its smallest unspanned

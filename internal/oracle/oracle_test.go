@@ -103,6 +103,28 @@ func TestNaiveUDGAndComponents(t *testing.T) {
 	}
 }
 
+// TestRepairEdgesJoinsShortestCrossing: on a line 0–1 … 2–3 whose two
+// topology pieces the UDG joins by (1,2) and (1,3), the reference picks
+// the shorter crossing edge and skips the now-redundant one; a topology
+// already matching the UDG needs nothing.
+func TestRepairEdgesJoinsShortestCrossing(t *testing.T) {
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(1.2, 0), geom.Pt(1.4, 0)}
+	topo := graph.New(4)
+	topo.AddEdge(0, 1, pts[0].Dist(pts[1]))
+	topo.AddEdge(2, 3, pts[2].Dist(pts[3]))
+	got := oracle.RepairEdges(pts, topo)
+	if want := (graph.Edge{U: 1, V: 2, W: pts[1].Dist(pts[2])}); len(got) != 1 || got[0] != want {
+		t.Fatalf("RepairEdges = %v, want [%v]", got, want)
+	}
+	if topo.M() != 2 {
+		t.Fatal("RepairEdges modified the topology")
+	}
+	topo.AddEdge(1, 2, pts[1].Dist(pts[2]))
+	if got := oracle.RepairEdges(pts, topo); len(got) != 0 {
+		t.Errorf("connected topology: RepairEdges = %v, want none", got)
+	}
+}
+
 func TestNaiveNNFMatchesTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {

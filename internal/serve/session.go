@@ -422,9 +422,10 @@ func (s *Session) runBatch() {
 	if s.deltaOn {
 		s.delta.reset()
 	}
-	// One connectivity repair/drift pass per batch instead of one per
-	// mutation — the passes are O(n) each and dominated sustained-churn
-	// batches before the deferral.
+	// One settle (connectivity repair and drift check) per batch instead
+	// of one per mutation: a settle explores every topology component
+	// the batch touched, so components several mutations touch are
+	// explored once.
 	s.mt.BeginBatch()
 	for i := range batch {
 		s.applyOne(batch[i])
