@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -31,64 +29,41 @@ import (
 //   - AddPoint/RemovePoint: dynamic maintenance of the point set itself,
 //     the engine behind internal/dynamic's insert/remove deltas.
 //
-// The evaluator copies the point slice at construction, so callers may
-// mutate their own copy freely afterwards.
+// The sender side — points, grid, radii, the undo journal and the
+// structural preconditions — is the embedded Senders, shared with
+// phys.Evaluator; this type keeps only the receiver side, the ±1 counts
+// and their histogram. The evaluator copies the point slice at
+// construction, so callers may mutate their own copy freely afterwards.
 type Evaluator struct {
-	pts   []geom.Point
-	grid  *geom.Grid
-	radii []float64
-	iv    Vector
-	hist  []int // hist[i] = number of nodes with I(v) == i
-	max   int
-	maxR  float64 // upper bound on max_u radii[u] (never shrinks eagerly)
-	buf   []int
-
-	// Undo log: SetRadius journals prior radii while snapshots are
-	// active; Restore replays the tail in reverse.
-	undo  []undoRec
-	marks []int // undo-log lengths at each Snapshot
+	senders // points, grid, radii, undo journal: see Senders
+	iv      Vector
+	hist    []int // hist[i] = number of nodes with I(v) == i
+	max     int
+	buf     []int
 }
 
-type undoRec struct {
-	u int
-	r float64
-}
+// senders names the embedded sender side without exporting the field,
+// so only Senders' methods — each of which runs the receiver accounting
+// — are reachable from outside the package.
+type senders = Senders
 
 // NewEvaluator starts from the all-zero radius assignment (every node
 // silent, all interference 0).
 func NewEvaluator(pts []geom.Point) *Evaluator {
-	own := append([]geom.Point(nil), pts...)
-	ev := &Evaluator{
-		pts:   own,
-		radii: make([]float64, len(own)),
-		iv:    make(Vector, len(own)),
-		hist:  make([]int, len(own)+1),
-	}
-	if len(own) > 0 {
-		ev.grid = geom.NewGrid(own, gridCell(own))
-		ev.hist[0] = len(own)
-	}
+	ev := &Evaluator{}
+	ev.senders = NewSenders(pts, Receivers{
+		Radius: ev.radius,
+		Batch:  ev.batch,
+		Add:    ev.add,
+		Move:   ev.move,
+		Remove: ev.remove,
+		Reset:  ev.reset,
+		Export: ev.export,
+	})
+	ev.iv = make(Vector, ev.N())
+	ev.hist = make([]int, ev.N()+1)
+	ev.hist[0] = ev.N()
 	return ev
-}
-
-// N returns the number of points under evaluation.
-func (ev *Evaluator) N() int { return len(ev.pts) }
-
-// Points returns the evaluated point slice (shared; treat as read-only).
-func (ev *Evaluator) Points() []geom.Point { return ev.pts }
-
-// Grid returns the evaluator's spatial index (shared; treat as
-// read-only). Callers that need auxiliary range queries over the same
-// point set — nearest-neighbor lookups, feasibility checks — reuse it
-// instead of building a second grid.
-func (ev *Evaluator) Grid() *geom.Grid { return ev.grid }
-
-// Radius returns the current radius of u.
-func (ev *Evaluator) Radius(u int) float64 { return ev.radii[u] }
-
-// Radii returns a copy of the current radius assignment.
-func (ev *Evaluator) Radii() []float64 {
-	return append([]float64(nil), ev.radii...)
 }
 
 // I returns the current interference of node v.
@@ -111,36 +86,9 @@ func (ev *Evaluator) SumI() int {
 // Vector returns a copy of the current per-node interference vector.
 func (ev *Evaluator) Vector() Vector { return append(Vector(nil), ev.iv...) }
 
-// SetRadius changes node u's transmission radius and returns the previous
-// value, so speculative updates can be reverted exactly:
-//
-//	old := ev.SetRadius(u, r)
-//	if ev.Max() > budget { ev.SetRadius(u, old) }
-//
-// Cost is O(|annulus|) — only the nodes entering or leaving D(u, r_u)
-// are touched, each by ±1.
-func (ev *Evaluator) SetRadius(u int, r float64) float64 {
-	old := ev.radii[u]
-	if r == old {
-		return old
-	}
-	if r < 0 {
-		panic(fmt.Sprintf("core: negative radius %v for node %d", r, u))
-	}
-	if len(ev.marks) > 0 {
-		ev.undo = append(ev.undo, undoRec{u, old})
-	}
-	ev.apply(u, r)
-	return old
-}
-
-// apply performs the radius change without journaling.
-func (ev *Evaluator) apply(u int, r float64) {
-	old := ev.radii[u]
-	ev.radii[u] = r
-	if r > ev.maxR {
-		ev.maxR = r
-	}
+// radius accounts a radius change in O(|annulus|): only the nodes
+// entering or leaving D(u, r_u) are touched, each by ±1.
+func (ev *Evaluator) radius(u int, old, r float64) {
 	lo, hi, delta := old, r, 1
 	if r < old {
 		lo, hi, delta = r, old, -1
@@ -155,16 +103,6 @@ func (ev *Evaluator) apply(u int, r float64) {
 			ev.bump(v, delta)
 		}
 	}
-}
-
-// GrowTo raises u's radius to at least r (no-op if already larger),
-// returning the previous radius. This matches how adding an edge affects
-// an endpoint: r_u = max(r_u, |uv|).
-func (ev *Evaluator) GrowTo(u int, r float64) float64 {
-	if r <= ev.radii[u] {
-		return ev.radii[u]
-	}
-	return ev.SetRadius(u, r)
 }
 
 func (ev *Evaluator) bump(v, delta int) {
@@ -182,64 +120,16 @@ func (ev *Evaluator) bump(v, delta int) {
 	}
 }
 
-// Snapshot marks the current radius assignment. Subsequent SetRadius and
-// GrowTo calls are journaled until the matching Restore rolls them back.
-// Snapshots nest: each Restore undoes back to the most recent Snapshot,
-// which is exactly the push/pop a depth-first search needs.
-func (ev *Evaluator) Snapshot() {
-	ev.marks = append(ev.marks, len(ev.undo))
-}
-
-// Restore rolls the evaluator back to the most recent Snapshot, undoing
-// every radius change since in reverse order, and pops that snapshot. It
-// panics when no snapshot is active.
-func (ev *Evaluator) Restore() {
-	if len(ev.marks) == 0 {
-		panic("core: Restore without Snapshot")
-	}
-	mark := ev.marks[len(ev.marks)-1]
-	ev.marks = ev.marks[:len(ev.marks)-1]
-	for i := len(ev.undo) - 1; i >= mark; i-- {
-		rec := ev.undo[i]
-		if ev.radii[rec.u] != rec.r {
-			ev.apply(rec.u, rec.r)
-		}
-	}
-	ev.undo = ev.undo[:mark]
-}
-
-// BatchSet replaces the entire radius assignment in one pass, re-sharding
-// the disk enumeration over CPU cores the way InterferenceParallel does
-// but reusing the evaluator's persistent grid. workers <= 0 selects
-// GOMAXPROCS; small instances are evaluated serially either way. It
-// panics while a snapshot is active (a whole-vector reset has no cheap
-// undo).
-func (ev *Evaluator) BatchSet(radii []float64, workers int) {
-	if len(radii) != len(ev.pts) {
-		panic("core: radius vector length mismatch")
-	}
-	if len(ev.marks) > 0 {
-		panic("core: BatchSet during active snapshot")
-	}
-	copy(ev.radii, radii)
-	ev.maxR = 0
-	for _, r := range ev.radii {
-		if r < 0 {
-			panic("core: negative radius in BatchSet")
-		}
-		if r > ev.maxR {
-			ev.maxR = r
-		}
-	}
-	if len(ev.pts) == 0 {
-		return
-	}
+// batch re-shards the disk enumeration over CPU cores the way
+// InterferenceParallel does, reusing the persistent grid; small
+// instances are evaluated serially either way.
+func (ev *Evaluator) batch(radii []float64, workers int) {
 	if obs.On() {
 		obsBatchSets.Inc()
 		sp := obs.Start("core.batchset")
 		defer sp.End()
 	}
-	ev.iv = accumulateInterference(ev.grid, ev.pts, ev.radii, workers, ev.iv[:0])
+	ev.iv = accumulateInterference(ev.grid, ev.pts, radii, workers, ev.iv[:0])
 	ev.rebuildHist()
 }
 
@@ -257,64 +147,54 @@ func (ev *Evaluator) rebuildHist() {
 	}
 }
 
-// AddPoint appends a new (initially silent) node to the evaluated set
-// and returns its index. The newcomer's own interference — the number of
-// existing disks covering it — is computed by one range query bounded by
-// the largest current radius, so arrivals cost O(|D(p, r_max) ∩ V|). It
-// panics while a snapshot is active.
-func (ev *Evaluator) AddPoint(p geom.Point) int {
-	if len(ev.marks) > 0 {
-		panic("core: AddPoint during active snapshot")
-	}
-	if obs.On() {
-		obsAddPoints.Inc()
-	}
-	if ev.grid == nil {
-		// First point ever: bootstrap the grid around it.
-		ev.pts = append(ev.pts, p)
-		ev.grid = geom.NewGrid(ev.pts, 1)
-	} else {
-		ev.grid.Add(p)
-		ev.pts = ev.grid.Points()
-	}
-	idx := len(ev.pts) - 1
-	ev.radii = append(ev.radii, 0)
+// recount returns the number of disks covering p other than idx's own:
+// one range query bounded by the largest current radius, so arrivals
+// and moves cost O(|D(p, r_max) ∩ V|).
+func (ev *Evaluator) recount(idx int, p geom.Point, maxR float64) int {
 	deg := 0
-	if ev.maxR > 0 {
-		ev.buf = ev.grid.Within(p, ev.maxR, ev.buf[:0])
+	if maxR > 0 {
+		ev.buf = ev.grid.Within(p, maxR, ev.buf[:0])
 		for _, u := range ev.buf {
 			if u != idx && ev.radii[u] > 0 && geom.InDisk(ev.pts[u], ev.radii[u], p) {
 				deg++
 			}
 		}
 	}
+	return deg
+}
+
+// add counts the newcomer's own interference — the existing disks
+// covering it.
+func (ev *Evaluator) add(idx int, p geom.Point, maxR float64) {
+	if obs.On() {
+		obsAddPoints.Inc()
+	}
+	deg := ev.recount(idx, p, maxR)
 	ev.iv = append(ev.iv, deg)
-	for len(ev.hist) < len(ev.pts)+1 {
+	for len(ev.hist) < len(ev.iv)+1 {
 		ev.hist = append(ev.hist, 0)
 	}
 	ev.hist[deg]++
 	if deg > ev.max {
 		ev.max = deg
 	}
-	return idx
 }
 
-// RemovePoint deletes the node at index idx: its disk stops interfering
-// (as if its radius were set to 0) and it stops counting as a receiver.
-// Indices above idx shift down by one, matching slice semantics. Cost is
-// O(|D(idx, r_idx) ∩ V| + n) — the annulus of the silencing plus the
-// index shift in the grid. It panics while a snapshot is active.
-func (ev *Evaluator) RemovePoint(idx int) {
-	if len(ev.marks) > 0 {
-		panic("core: RemovePoint during active snapshot")
+// move recounts the relocated node's own interference.
+func (ev *Evaluator) move(idx int, p geom.Point, maxR float64) {
+	if obs.On() {
+		obsMovePoints.Inc()
 	}
-	if idx < 0 || idx >= len(ev.pts) {
-		panic(fmt.Sprintf("core: RemovePoint index %d out of range", idx))
+	if deg := ev.recount(idx, p, maxR); deg != ev.iv[idx] {
+		ev.bump(idx, deg-ev.iv[idx])
 	}
+}
+
+// remove drops the removed node from the histogram and the vector.
+func (ev *Evaluator) remove(idx int) {
 	if obs.On() {
 		obsRemovePoints.Inc()
 	}
-	ev.SetRadius(idx, 0)
 	d := ev.iv[idx]
 	ev.hist[d]--
 	if d == ev.max && ev.hist[d] == 0 {
@@ -322,65 +202,21 @@ func (ev *Evaluator) RemovePoint(idx int) {
 			ev.max--
 		}
 	}
-	ev.grid.Remove(idx)
-	ev.pts = ev.grid.Points()
-	ev.radii = append(ev.radii[:idx], ev.radii[idx+1:]...)
 	ev.iv = append(ev.iv[:idx], ev.iv[idx+1:]...)
 }
 
-// MovePoint relocates the node at idx, keeping its index and radius.
-// The relocation is three local updates: the node's disk is silenced at
-// the old position (one annulus), its own received interference is
-// recounted at the new position (one range query bounded by the largest
-// current radius, as in AddPoint), and the disk is re-lit at the new
-// position (one annulus). No index shifts, so sustained churn costs
-// output-sensitive time per move instead of the O(n) a RemovePoint +
-// AddPoint pair pays. It panics while a snapshot is active.
-func (ev *Evaluator) MovePoint(idx int, p geom.Point) {
-	if len(ev.marks) > 0 {
-		panic("core: MovePoint during active snapshot")
-	}
-	if idx < 0 || idx >= len(ev.pts) {
-		panic(fmt.Sprintf("core: MovePoint index %d out of range", idx))
-	}
-	if obs.On() {
-		obsMovePoints.Inc()
-	}
-	r := ev.radii[idx]
-	ev.SetRadius(idx, 0)
-	// ev.pts aliases the grid's slice, so the grid update is visible
-	// through ev.pts[idx] immediately.
-	ev.grid.Move(idx, p)
-	deg := 0
-	if ev.maxR > 0 {
-		ev.buf = ev.grid.Within(p, ev.maxR, ev.buf[:0])
-		for _, u := range ev.buf {
-			if u != idx && ev.radii[u] > 0 && geom.InDisk(ev.pts[u], ev.radii[u], p) {
-				deg++
-			}
-		}
-	}
-	if deg != ev.iv[idx] {
-		ev.bump(idx, deg-ev.iv[idx])
-	}
-	ev.SetRadius(idx, r)
-}
-
-// Reset returns the evaluator to the all-zero assignment without
-// reallocating, discarding any active snapshots.
-func (ev *Evaluator) Reset() {
-	for i := range ev.radii {
-		ev.radii[i] = 0
+func (ev *Evaluator) reset() {
+	for i := range ev.iv {
 		ev.iv[i] = 0
 	}
 	for i := range ev.hist {
 		ev.hist[i] = 0
 	}
-	if len(ev.pts) > 0 {
-		ev.hist[0] = len(ev.pts)
-	}
+	ev.hist[0] = len(ev.iv)
 	ev.max = 0
-	ev.maxR = 0
-	ev.undo = ev.undo[:0]
-	ev.marks = ev.marks[:0]
+}
+
+func (ev *Evaluator) export(dst *State) {
+	dst.I = append(dst.I[:0], ev.iv...)
+	dst.Max = ev.max
 }

@@ -16,20 +16,3 @@ type State struct {
 
 // N returns the number of nodes in the exported state.
 func (s *State) N() int { return len(s.Points) }
-
-// ExportState copies the evaluator's current observables into dst and
-// returns it, allocating a fresh State when dst is nil. The backing
-// arrays of a non-nil dst are reused when their capacity allows, so a
-// single-reader loop can export repeatedly without allocating; pass nil
-// whenever the result must be immutable (shared with other readers).
-// Cost is three memcpys — nothing is recomputed.
-func (ev *Evaluator) ExportState(dst *State) *State {
-	if dst == nil {
-		dst = &State{}
-	}
-	dst.Points = append(dst.Points[:0], ev.pts...)
-	dst.Radii = append(dst.Radii[:0], ev.radii...)
-	dst.I = append(dst.I[:0], ev.iv...)
-	dst.Max = ev.max
-	return dst
-}

@@ -61,8 +61,8 @@ import (
 // Engine is the incremental-evaluator surface the maintainer drives.
 // It is an alias for core.Measure: *core.Evaluator implements it for
 // the graph measure, phys.Evaluator for the physical (SINR) model, and
-// the differential oracle's Diff*Evaluator wrappers shadow either one
-// behind the same surface, so a whole maintenance (or serving) pipeline
+// the differential oracle's DiffEvaluator shadows either one behind
+// the same surface, so a whole maintenance (or serving) pipeline
 // can run against any measure without code changes.
 type Engine = core.Measure
 
@@ -191,14 +191,21 @@ func New(pts []geom.Point, rebuildFactor float64) *Maintainer {
 // core.NewEvaluator). Tests pass a factory returning the oracle's
 // DiffEvaluator to shadow-check every maintenance op.
 func NewWithEngine(pts []geom.Point, rebuildFactor float64, factory EngineFactory) *Maintainer {
+	m := newMaintainer(rebuildFactor, factory)
+	m.rebuild(pts)
+	return m
+}
+
+// newMaintainer applies the defaults New and Restore share: RebuildFactor
+// 0 means 2, a nil factory means core.GraphMeasure.
+func newMaintainer(rebuildFactor float64, factory EngineFactory) *Maintainer {
 	m := &Maintainer{RebuildFactor: rebuildFactor, factory: factory}
 	if m.RebuildFactor == 0 {
 		m.RebuildFactor = 2
 	}
 	if m.factory == nil {
-		m.factory = func(pts []geom.Point) Engine { return core.NewEvaluator(pts) }
+		m.factory = core.GraphMeasure
 	}
-	m.rebuild(pts)
 	return m
 }
 
@@ -246,13 +253,7 @@ func Restore(st RestoreState, rebuildFactor float64, factory EngineFactory) (*Ma
 	if len(st.Radii) != len(st.Points) {
 		return nil, fmt.Errorf("dynamic: restore: %d radii for %d points", len(st.Radii), len(st.Points))
 	}
-	m := &Maintainer{RebuildFactor: rebuildFactor, factory: factory}
-	if m.RebuildFactor == 0 {
-		m.RebuildFactor = 2
-	}
-	if m.factory == nil {
-		m.factory = func(pts []geom.Point) Engine { return core.NewEvaluator(pts) }
-	}
+	m := newMaintainer(rebuildFactor, factory)
 	for i, r := range st.Radii {
 		if math.IsNaN(r) || r < 0 {
 			return nil, fmt.Errorf("dynamic: restore: node %d has radius %v", i, r)
@@ -361,14 +362,7 @@ func (m *Maintainer) Insert(p geom.Point) int {
 	m.size[l] = 1
 	m.label = append(m.label, l)
 	m.moved = append(m.moved, int32(idx))
-	// Nearest in-range neighbor, straight off the evaluator's grid.
-	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
-		m.topo.AddEdge(idx, best, bestD)
-		m.record(idx, best)
-		m.eng.SetRadius(idx, bestD)
-		old := m.eng.GrowTo(best, bestD)
-		m.touch(m.points()[best], math.Max(old, bestD))
-	}
+	m.link(idx, p)
 	// The newcomer's own disk (radius 0 when no neighbor answered —
 	// still a disk: coincident nodes are covered at distance zero).
 	m.touch(p, m.eng.Radius(idx))
@@ -376,6 +370,37 @@ func (m *Maintainer) Insert(p geom.Point) int {
 	m.fire(Event{Kind: EventInsert, Index: idx, Max: m.eng.Max()})
 	m.settle()
 	return idx
+}
+
+// link joins the newcomer (or moved node) idx at p to its nearest
+// in-range neighbor, straight off the engine's grid: one topology edge,
+// idx's radius set to reach it, and the neighbor's radius grown to
+// answer. Out-of-range nodes stay unlinked.
+func (m *Maintainer) link(idx int, p geom.Point) {
+	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
+		m.topo.AddEdge(idx, best, bestD)
+		m.record(idx, best)
+		m.eng.SetRadius(idx, bestD)
+		old := m.eng.GrowTo(best, bestD)
+		m.touch(m.points()[best], math.Max(old, bestD))
+	}
+}
+
+// shrink lowers v's radius to its farthest topology neighbor other than
+// gone, the node whose edges are going away (Remove still has them in
+// the topology; Move has already dropped them).
+func (m *Maintainer) shrink(v, gone int) {
+	far := 0.0
+	for _, w := range m.topo.Neighbors(v) {
+		if w == gone {
+			continue
+		}
+		if d, ok := m.topo.EdgeWeight(v, w); ok && d > far {
+			far = d
+		}
+	}
+	old := m.eng.SetRadius(v, far)
+	m.touch(m.points()[v], math.Max(old, far))
 }
 
 // Remove deletes the node at index idx (indices above shift down by one,
@@ -395,17 +420,7 @@ func (m *Maintainer) Remove(idx int) {
 	// The victim's former neighbors shrink to their remaining farthest
 	// neighbor; each shrink is one annulus update.
 	for _, v := range m.topo.Neighbors(idx) {
-		far := 0.0
-		for _, w := range m.topo.Neighbors(v) {
-			if w == idx {
-				continue
-			}
-			if d, ok := m.topo.EdgeWeight(v, w); ok && d > far {
-				far = d
-			}
-		}
-		old := m.eng.SetRadius(v, far)
-		m.touch(m.points()[v], math.Max(old, far))
+		m.shrink(v, idx)
 	}
 	m.eng.RemovePoint(idx)
 	m.forget(idx)
@@ -509,26 +524,13 @@ func (m *Maintainer) Move(idx int, p geom.Point) {
 		m.record(idx, v)
 	}
 	for _, v := range nbrs {
-		far := 0.0
-		for _, w := range m.topo.Neighbors(v) {
-			if d, ok := m.topo.EdgeWeight(v, w); ok && d > far {
-				far = d
-			}
-		}
-		old := m.eng.SetRadius(v, far)
-		m.touch(m.points()[v], math.Max(old, far))
+		m.shrink(v, idx)
 	}
 	// Silence before relocating so the engine's move pays only the
 	// receiver-side recount, then re-link like an arrival.
 	m.eng.SetRadius(idx, 0)
 	m.eng.MovePoint(idx, p)
-	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
-		m.topo.AddEdge(idx, best, bestD)
-		m.record(idx, best)
-		m.eng.SetRadius(idx, bestD)
-		old := m.eng.GrowTo(best, bestD)
-		m.touch(m.points()[best], math.Max(old, bestD))
-	}
+	m.link(idx, p)
 	m.moved = append(m.moved, int32(idx))
 	m.touch(p, m.eng.Radius(idx))
 	m.needRepair, m.needCheck = true, true

@@ -301,7 +301,7 @@ func RobustnessX1(seed int64, trials int) *tablefmt.Table {
 }
 
 func nearestDist(pts []geom.Point, i int) float64 {
-	_, d := geom.NearestBrute(pts, i)
+	_, d := geom.NewGrid(pts, core.GridCell(pts)).Nearest(i)
 	if math.IsInf(d, 1) {
 		return 0
 	}

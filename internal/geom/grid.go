@@ -384,22 +384,3 @@ func (g *Grid) Nearest(i int) (int, float64) {
 	// next to Dist-derived weights.
 	return best, p.Dist(g.pts[best])
 }
-
-// NearestBrute is the O(n) reference implementation of Nearest, kept for
-// cross-validation in tests.
-func NearestBrute(pts []Point, i int) (int, float64) {
-	best, bestD2 := -1, math.Inf(1)
-	for j, q := range pts {
-		if j == i {
-			continue
-		}
-		d2 := pts[i].Dist2(q)
-		if d2 < bestD2 || (d2 == bestD2 && j < best) {
-			best, bestD2 = j, d2
-		}
-	}
-	if best < 0 {
-		return -1, math.Inf(1)
-	}
-	return best, pts[i].Dist(pts[best])
-}

@@ -15,26 +15,6 @@ func randomPoints(rng *rand.Rand, n int, w, h float64) []Point {
 	return pts
 }
 
-func TestGridNearestMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(150)
-		pts := randomPoints(rng, n, 8, 3)
-		g := NewGrid(pts, 0.7)
-		for i := 0; i < n; i++ {
-			gi, gd := g.Nearest(i)
-			bi, bd := NearestBrute(pts, i)
-			if gi != bi {
-				// Equal distances with different indices are a tie-break bug.
-				t.Fatalf("trial %d point %d: Nearest = %d (%v), brute = %d (%v)", trial, i, gi, gd, bi, bd)
-			}
-			if math.Abs(gd-bd) > 1e-12 {
-				t.Fatalf("trial %d point %d: distance %v vs %v", trial, i, gd, bd)
-			}
-		}
-	}
-}
-
 func TestGridDegenerate(t *testing.T) {
 	// Empty set.
 	g := NewGrid(nil, 1)
@@ -86,29 +66,6 @@ func TestGridPanicsOnBadCell(t *testing.T) {
 			}()
 			NewGrid([]Point{Pt(0, 0)}, cell)
 		}()
-	}
-}
-
-func TestGridExponentialSpread(t *testing.T) {
-	// The exponential node chain concentrates points near the origin while
-	// spanning a large extent; verify the grid still answers correctly.
-	pts := make([]Point, 20)
-	x := 0.0
-	for i := range pts {
-		pts[i] = Pt(x, 0)
-		x += math.Pow(2, float64(i)) * 1e-5
-	}
-	g := NewGrid(pts, 0.01)
-	for i := range pts {
-		gi, _ := g.Nearest(i)
-		bi, _ := NearestBrute(pts, i)
-		if gi != bi {
-			t.Fatalf("point %d: Nearest = %d, brute = %d", i, gi, bi)
-		}
-	}
-	all := g.Within(Pt(0, 0), x, nil)
-	if len(all) != len(pts) {
-		t.Fatalf("Within full radius found %d of %d", len(all), len(pts))
 	}
 }
 

@@ -188,9 +188,7 @@ func lawSnapshotRoundTrip(rng *rand.Rand) error {
 	pts, radii := lawInstance(rng, 2+rng.Intn(30), 4)
 	d := NewDiffEvaluator(pts)
 	d.BatchSet(radii, 0)
-	wantRadii := append([]float64(nil), radii...)
-	wantVec := d.Evaluator().Vector()
-	wantMax := d.Evaluator().Max()
+	want := d.ExportState(nil)
 
 	d.Snapshot()
 	for i, ops := 0, 4+rng.Intn(24); i < ops; i++ {
@@ -217,19 +215,19 @@ func lawSnapshotRoundTrip(rng *rand.Rand) error {
 	if err := d.Verify(); err != nil {
 		return err
 	}
-	ev := d.Evaluator()
-	for u := range wantRadii {
-		if ev.Radius(u) != wantRadii[u] {
-			return fmt.Errorf("radius of %d after round trip: %v, want %v", u, ev.Radius(u), wantRadii[u])
+	got := d.ExportState(nil)
+	for u := range want.Radii {
+		if got.Radii[u] != want.Radii[u] {
+			return fmt.Errorf("radius of %d after round trip: %v, want %v", u, got.Radii[u], want.Radii[u])
 		}
 	}
-	for v := range wantVec {
-		if ev.I(v) != wantVec[v] {
-			return fmt.Errorf("I(%d) after round trip: %d, want %d", v, ev.I(v), wantVec[v])
+	for v := range want.I {
+		if got.I[v] != want.I[v] {
+			return fmt.Errorf("I(%d) after round trip: %d, want %d", v, got.I[v], want.I[v])
 		}
 	}
-	if ev.Max() != wantMax {
-		return fmt.Errorf("max after round trip: %d, want %d", ev.Max(), wantMax)
+	if got.Max != want.Max {
+		return fmt.Errorf("max after round trip: %d, want %d", got.Max, want.Max)
 	}
 	return nil
 }

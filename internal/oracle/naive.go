@@ -96,6 +96,27 @@ func WithinAnnulus(pts []geom.Point, c geom.Point, lo, hi float64) []int {
 	return out
 }
 
+// Nearest is the linear-scan reference for geom.Grid.Nearest: the
+// nearest point to pts[i] other than i, ties broken toward the smaller
+// index, with the distance reported through Dist; (-1, +Inf) when there
+// is none.
+func Nearest(pts []geom.Point, i int) (int, float64) {
+	best, bestD2 := -1, math.Inf(1)
+	for j, q := range pts {
+		if j == i {
+			continue
+		}
+		d2 := pts[i].Dist2(q)
+		if d2 < bestD2 || (d2 == bestD2 && j < best) {
+			best, bestD2 = j, d2
+		}
+	}
+	if best < 0 {
+		return -1, math.Inf(1)
+	}
+	return best, pts[i].Dist(pts[best])
+}
+
 // NNF builds the Nearest Neighbor Forest by the definition: every node
 // links to its nearest neighbor within communication range, ties broken
 // toward the smaller index.

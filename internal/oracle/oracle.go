@@ -120,19 +120,12 @@ func CheckRadii(pts []geom.Point, radii []float64) error {
 		return err
 	}
 
-	// Incremental evaluator, whole-vector path.
-	ev := core.NewEvaluator(pts)
-	ev.BatchSet(radii, 0)
-	if err := diffEvaluatorState("BatchSet", ev, want); err != nil {
-		return err
+	// Incremental evaluator: the whole-vector path and one annulus update
+	// at a time.
+	if err := checkPaths(func() *DiffEvaluator { return NewDiffEvaluator(pts) }, radii); err != nil {
+		return fmt.Errorf("oracle: evaluator %w", err)
 	}
-
-	// Incremental evaluator, one annulus update at a time.
-	ev = core.NewEvaluator(pts)
-	for u, r := range radii {
-		ev.SetRadius(u, r)
-	}
-	return diffEvaluatorState("SetRadius walk", ev, want)
+	return nil
 }
 
 func diffVector(path string, got, want core.Vector) error {
@@ -143,18 +136,6 @@ func diffVector(path string, got, want core.Vector) error {
 	}
 	if got.Max() != want.Max() {
 		return fmt.Errorf("oracle: %s: max %d, naive %d", path, got.Max(), want.Max())
-	}
-	return nil
-}
-
-func diffEvaluatorState(path string, ev *core.Evaluator, want core.Vector) error {
-	for v := range want {
-		if ev.I(v) != want[v] {
-			return fmt.Errorf("oracle: evaluator (%s): I(%d) = %d, naive %d", path, v, ev.I(v), want[v])
-		}
-	}
-	if ev.Max() != want.Max() {
-		return fmt.Errorf("oracle: evaluator (%s): max %d, naive %d", path, ev.Max(), want.Max())
 	}
 	return nil
 }

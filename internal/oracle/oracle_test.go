@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/oracle"
+	"repro/internal/phys"
 	"repro/internal/topology"
 	"repro/internal/udg"
 )
@@ -205,14 +206,18 @@ func TestDiffEvaluatorCatchesShadowDivergence(t *testing.T) {
 	// Sanity that Verify actually fails on divergence: mutate the engine
 	// behind the shadow's back and require an error.
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(1, 0)}
-	d := oracle.NewDiffEvaluator(pts)
-	d.SetRadius(0, 0.6)
-	if err := d.Verify(); err != nil {
-		t.Fatalf("clean state: %v", err)
-	}
-	d.Evaluator().SetRadius(1, 0.7) // bypasses the shadow
-	if err := d.Verify(); err == nil {
-		t.Fatal("divergence not detected")
+	for _, d := range []*oracle.DiffEvaluator{
+		oracle.NewDiffEvaluator(pts),
+		oracle.NewDiffPhysEvaluator(pts, phys.Default()),
+	} {
+		d.SetRadius(0, 0.6)
+		if err := d.Verify(); err != nil {
+			t.Fatalf("clean state: %v", err)
+		}
+		d.Engine().SetRadius(1, 0.7) // bypasses the shadow
+		if err := d.Verify(); err == nil {
+			t.Fatal("divergence not detected")
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/geom"
 	"repro/internal/phys"
 )
@@ -48,181 +47,8 @@ func PhysLevels(pts []geom.Point, radii []float64, m phys.Model) core.Vector {
 // against the naive model on one assignment, driving both the BatchSet
 // path and the per-node SetRadius path.
 func CheckPhysRadii(pts []geom.Point, radii []float64, m phys.Model) error {
-	want := PhysPower(pts, radii, m)
-
-	batch := phys.NewEvaluator(pts, m)
-	batch.BatchSet(radii, 0)
-	if err := comparePhys("BatchSet", batch, pts, radii, want); err != nil {
-		return err
-	}
-
-	incr := phys.NewEvaluator(pts, m)
-	for u, r := range radii {
-		incr.SetRadius(u, r)
-	}
-	return comparePhys("SetRadius", incr, pts, radii, want)
-}
-
-func comparePhys(path string, ev *phys.Evaluator, pts []geom.Point, radii []float64, want []int64) error {
-	maxL, sumL := 0, 0
-	for v, w := range want {
-		if got := ev.Power(v); got != w {
-			return fmt.Errorf("oracle: phys %s: pw(%d) = %d, naive %d", path, v, got, w)
-		}
-		l := int(w >> phys.LogUnitScale)
-		sumL += l
-		if l > maxL {
-			maxL = l
-		}
-	}
-	if ev.Max() != maxL {
-		return fmt.Errorf("oracle: phys %s: max = %d, naive %d", path, ev.Max(), maxL)
-	}
-	if ev.SumI() != sumL {
-		return fmt.Errorf("oracle: phys %s: sumI = %d, naive %d", path, ev.SumI(), sumL)
+	if err := checkPaths(func() *DiffEvaluator { return NewDiffPhysEvaluator(pts, m) }, radii); err != nil {
+		return fmt.Errorf("oracle: phys %w", err)
 	}
 	return nil
-}
-
-// DiffPhysEvaluator shadows a phys.Evaluator exactly as DiffEvaluator
-// shadows the graph engine: every mutation hits both the incremental
-// engine and a plain (points, radii, stack) model, and Verify
-// recomputes the power sums naively and compares bit-for-bit.
-type DiffPhysEvaluator struct {
-	ev    *phys.Evaluator
-	pts   []geom.Point
-	radii []float64
-	stack [][]float64
-}
-
-var _ dynamic.Engine = (*DiffPhysEvaluator)(nil)
-
-// NewDiffPhysEvaluator starts both sides from the all-zero assignment.
-func NewDiffPhysEvaluator(pts []geom.Point, m phys.Model) *DiffPhysEvaluator {
-	return &DiffPhysEvaluator{
-		ev:    phys.NewEvaluator(pts, m),
-		pts:   append([]geom.Point(nil), pts...),
-		radii: make([]float64, len(pts)),
-	}
-}
-
-// Evaluator exposes the engine under test.
-func (d *DiffPhysEvaluator) Evaluator() *phys.Evaluator { return d.ev }
-
-// N returns the current number of points.
-func (d *DiffPhysEvaluator) N() int { return len(d.pts) }
-
-// Depth returns the number of active snapshots.
-func (d *DiffPhysEvaluator) Depth() int { return len(d.stack) }
-
-// SetRadius mirrors phys.Evaluator.SetRadius.
-func (d *DiffPhysEvaluator) SetRadius(u int, r float64) float64 {
-	old := d.ev.SetRadius(u, r)
-	d.radii[u] = r
-	return old
-}
-
-// GrowTo mirrors phys.Evaluator.GrowTo.
-func (d *DiffPhysEvaluator) GrowTo(u int, r float64) float64 {
-	old := d.ev.GrowTo(u, r)
-	if r > d.radii[u] {
-		d.radii[u] = r
-	}
-	return old
-}
-
-// Points delegates to the engine; Verify compares the shadow's copy.
-func (d *DiffPhysEvaluator) Points() []geom.Point { return d.ev.Points() }
-
-// Grid delegates the engine's spatial index.
-func (d *DiffPhysEvaluator) Grid() *geom.Grid { return d.ev.Grid() }
-
-// Max delegates to the engine; Verify independently recomputes it.
-func (d *DiffPhysEvaluator) Max() int { return d.ev.Max() }
-
-// SumI delegates to the engine; Verify covers the underlying sums.
-func (d *DiffPhysEvaluator) SumI() int { return d.ev.SumI() }
-
-// Radius delegates the per-node radius read.
-func (d *DiffPhysEvaluator) Radius(u int) float64 { return d.ev.Radius(u) }
-
-// I delegates the per-node level read.
-func (d *DiffPhysEvaluator) I(v int) int { return d.ev.I(v) }
-
-// ExportState delegates the engine's copy-on-read export.
-func (d *DiffPhysEvaluator) ExportState(dst *core.State) *core.State {
-	return d.ev.ExportState(dst)
-}
-
-// Snapshot mirrors phys.Evaluator.Snapshot; the shadow pushes a deep
-// copy of the radii.
-func (d *DiffPhysEvaluator) Snapshot() {
-	d.ev.Snapshot()
-	d.stack = append(d.stack, append([]float64(nil), d.radii...))
-}
-
-// Restore mirrors phys.Evaluator.Restore.
-func (d *DiffPhysEvaluator) Restore() {
-	d.ev.Restore()
-	d.radii = d.stack[len(d.stack)-1]
-	d.stack = d.stack[:len(d.stack)-1]
-}
-
-// BatchSet mirrors phys.Evaluator.BatchSet.
-func (d *DiffPhysEvaluator) BatchSet(radii []float64, workers int) {
-	d.ev.BatchSet(radii, workers)
-	copy(d.radii, radii)
-}
-
-// AddPoint mirrors phys.Evaluator.AddPoint.
-func (d *DiffPhysEvaluator) AddPoint(p geom.Point) int {
-	idx := d.ev.AddPoint(p)
-	d.pts = append(d.pts, p)
-	d.radii = append(d.radii, 0)
-	return idx
-}
-
-// RemovePoint mirrors phys.Evaluator.RemovePoint.
-func (d *DiffPhysEvaluator) RemovePoint(idx int) {
-	d.ev.RemovePoint(idx)
-	d.pts = append(d.pts[:idx], d.pts[idx+1:]...)
-	d.radii = append(d.radii[:idx], d.radii[idx+1:]...)
-}
-
-// MovePoint mirrors phys.Evaluator.MovePoint; the shadow just rewrites
-// the position, so Verify's naive recount independently checks the
-// engine's silence-recount-relight bookkeeping.
-func (d *DiffPhysEvaluator) MovePoint(idx int, p geom.Point) {
-	d.ev.MovePoint(idx, p)
-	d.pts[idx] = p
-}
-
-// Reset mirrors phys.Evaluator.Reset.
-func (d *DiffPhysEvaluator) Reset() {
-	d.ev.Reset()
-	for i := range d.radii {
-		d.radii[i] = 0
-	}
-	d.stack = d.stack[:0]
-}
-
-// Unwind pops every remaining snapshot.
-func (d *DiffPhysEvaluator) Unwind() {
-	for len(d.stack) > 0 {
-		d.Restore()
-	}
-}
-
-// Verify recomputes the naive power sums of the shadow state and
-// compares every observable bit-for-bit.
-func (d *DiffPhysEvaluator) Verify() error {
-	if d.ev.N() != len(d.pts) {
-		return fmt.Errorf("oracle: phys evaluator has %d points, shadow %d", d.ev.N(), len(d.pts))
-	}
-	for u, r := range d.radii {
-		if d.ev.Radius(u) != r {
-			return fmt.Errorf("oracle: phys radius of node %d: evaluator %v, shadow %v", u, d.ev.Radius(u), r)
-		}
-	}
-	return comparePhys("shadow", d.ev, d.pts, d.radii, PhysPower(d.pts, d.radii, d.ev.Model()))
 }

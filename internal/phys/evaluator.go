@@ -1,8 +1,6 @@
 package phys
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -22,47 +20,44 @@ import (
 // too sparse to array-index. Increases update the pair in O(1);
 // the rare decrease that empties the top level falls back to one O(n)
 // rescan, counted by rim_phys_max_rescans_total.
+//
+// The sender side — points, grid, radii, the undo journal (exact here
+// too, because integer deltas cancel) and the structural preconditions
+// — is the embedded core.Senders, shared with core.Evaluator; this type
+// keeps only what is physical.
 type Evaluator struct {
-	model Model
-	pts   []geom.Point
-	grid  *geom.Grid
-	radii []float64
-	pw    []int64 // quantized received power per node, Σ Units(r_u, d²(u,v))
+	senders // points, grid, radii, undo journal: see core.Senders
+	model   Model
+	pw      []int64 // quantized received power per node, Σ Units(r_u, d²(u,v))
 
 	sumLevels int64
 	maxLevel  int
-	atMax     int     // nodes with level == maxLevel
-	maxR      float64 // upper bound on max_u radii[u] (never shrinks eagerly)
+	atMax     int // nodes with level == maxLevel
 	buf       []int
-
-	// Undo log: SetRadius journals prior radii while snapshots are
-	// active; Restore replays the tail in reverse (exact, because
-	// integer deltas cancel).
-	undo  []undoRec
-	marks []int
 }
 
-type undoRec struct {
-	u int
-	r float64
-}
+// senders names the embedded core.Senders without exporting the field,
+// so only its methods — each of which runs the power accounting below —
+// are reachable from outside the package.
+type senders = core.Senders
 
 // NewEvaluator starts from the all-zero radius assignment under the
 // given model. The point slice is copied.
 func NewEvaluator(pts []geom.Point, m Model) *Evaluator {
-	own := append([]geom.Point(nil), pts...)
-	ev := &Evaluator{
-		model: m,
-		pts:   own,
-		radii: make([]float64, len(own)),
-		pw:    make([]int64, len(own)),
-		atMax: len(own),
-	}
-	if len(own) > 0 {
-		ev.grid = geom.NewGrid(own, core.GridCell(own))
-	}
+	ev := &Evaluator{model: m}
+	ev.senders = core.NewSenders(pts, core.Receivers{
+		Radius: ev.radius,
+		Batch:  ev.batch,
+		Add:    ev.add,
+		Move:   ev.move,
+		Remove: ev.remove,
+		Reset:  ev.reset,
+		Export: ev.export,
+	})
+	ev.pw = make([]int64, ev.N())
+	ev.atMax = ev.N()
 	if obs.On() {
-		obsTruncBound.Set(m.TruncationBound(len(own)))
+		obsTruncBound.Set(m.TruncationBound(ev.N()))
 	}
 	return ev
 }
@@ -76,24 +71,6 @@ var _ core.Measure = (*Evaluator)(nil)
 
 // Model returns the physical-layer constants this evaluator runs under.
 func (ev *Evaluator) Model() Model { return ev.model }
-
-// N returns the number of points under evaluation.
-func (ev *Evaluator) N() int { return len(ev.pts) }
-
-// Points returns the evaluated point slice (shared; treat as read-only).
-func (ev *Evaluator) Points() []geom.Point { return ev.pts }
-
-// Grid returns the evaluator's spatial index (shared; treat as
-// read-only).
-func (ev *Evaluator) Grid() *geom.Grid { return ev.grid }
-
-// Radius returns the current radius of u.
-func (ev *Evaluator) Radius(u int) float64 { return ev.radii[u] }
-
-// Radii returns a copy of the current radius assignment.
-func (ev *Evaluator) Radii() []float64 {
-	return append([]float64(nil), ev.radii...)
-}
 
 // Power returns v's quantized received power sum (UnitScale units per
 // decode threshold). This is the exact quantity the naive oracle
@@ -112,40 +89,17 @@ func (ev *Evaluator) SumI() int { return int(ev.sumLevels) }
 
 func level(pw int64) int { return int(pw >> LogUnitScale) }
 
-// SetRadius changes node u's transmission radius and returns the
-// previous value. Cost is O(|D(u, F·max(old, new)) ∩ V|) — every
-// receiver inside the larger far-field disk re-weighs u's contribution.
-func (ev *Evaluator) SetRadius(u int, r float64) float64 {
-	old := ev.radii[u]
-	if r == old {
-		return old
-	}
-	if r < 0 {
-		panic(fmt.Sprintf("phys: negative radius %v for node %d", r, u))
-	}
-	if len(ev.marks) > 0 {
-		ev.undo = append(ev.undo, undoRec{u, old})
-	}
-	ev.apply(u, r)
-	return old
-}
-
-// apply performs the radius change without journaling.
-func (ev *Evaluator) apply(u int, r float64) {
-	old := ev.radii[u]
-	ev.radii[u] = r
-	if r > ev.maxR {
-		ev.maxR = r
-	}
+// radius accounts a radius change in O(|D(u, F·max(old, new)) ∩ V|) —
+// every receiver inside the larger far-field disk re-weighs u's
+// contribution.
+func (ev *Evaluator) radius(u int, old, r float64) {
 	hi := old
 	if r > hi {
 		hi = r
 	}
-	if hi <= 0 || ev.grid == nil {
-		return
-	}
-	p := ev.pts[u]
-	ev.buf = ev.grid.Within(p, ev.model.FarField*hi, ev.buf[:0])
+	pts := ev.Points()
+	p := pts[u]
+	ev.buf = ev.Grid().Within(p, ev.model.FarField*hi, ev.buf[:0])
 	if obs.On() {
 		obsSetRadius.Inc()
 		obsReachNodes.Add(int64(len(ev.buf)))
@@ -154,20 +108,11 @@ func (ev *Evaluator) apply(u int, r float64) {
 		if v == u {
 			continue
 		}
-		d2 := p.Dist2(ev.pts[v])
+		d2 := p.Dist2(pts[v])
 		if delta := ev.model.Units(r, d2) - ev.model.Units(old, d2); delta != 0 {
 			ev.addPW(v, delta)
 		}
 	}
-}
-
-// GrowTo raises u's radius to at least r (no-op if already larger),
-// returning the previous radius.
-func (ev *Evaluator) GrowTo(u int, r float64) float64 {
-	if r <= ev.radii[u] {
-		return ev.radii[u]
-	}
-	return ev.SetRadius(u, r)
 }
 
 // addPW moves v's power sum by delta and maintains sumLevels and the
@@ -217,56 +162,11 @@ func (ev *Evaluator) rescanMax() {
 	}
 }
 
-// Snapshot marks the current radius assignment; see core.Evaluator.
-func (ev *Evaluator) Snapshot() {
-	ev.marks = append(ev.marks, len(ev.undo))
-}
-
-// Restore rolls back to the most recent Snapshot exactly: integer
-// deltas cancel bit-for-bit, so restored state is identical to the
-// state at Snapshot, not merely close.
-func (ev *Evaluator) Restore() {
-	if len(ev.marks) == 0 {
-		panic("phys: Restore without Snapshot")
-	}
-	mark := ev.marks[len(ev.marks)-1]
-	ev.marks = ev.marks[:len(ev.marks)-1]
-	for i := len(ev.undo) - 1; i >= mark; i-- {
-		rec := ev.undo[i]
-		if ev.radii[rec.u] != rec.r {
-			ev.apply(rec.u, rec.r)
-		}
-	}
-	ev.undo = ev.undo[:mark]
-}
-
-// BatchSet replaces the entire radius assignment in one pass over the
-// senders' far-field disks. workers is accepted for interface parity
-// and ignored: accumulation is serial because it is already
-// output-sensitive over the grid, and the quantized integer adds keep
-// any future sharding bit-identical. It panics while a snapshot is
-// active.
-func (ev *Evaluator) BatchSet(radii []float64, workers int) {
-	_ = workers
-	if len(radii) != len(ev.pts) {
-		panic("phys: radius vector length mismatch")
-	}
-	if len(ev.marks) > 0 {
-		panic("phys: BatchSet during active snapshot")
-	}
-	copy(ev.radii, radii)
-	ev.maxR = 0
-	for _, r := range ev.radii {
-		if r < 0 {
-			panic("phys: negative radius in BatchSet")
-		}
-		if r > ev.maxR {
-			ev.maxR = r
-		}
-	}
-	if len(ev.pts) == 0 {
-		return
-	}
+// batch recomputes every power sum in one pass over the senders'
+// far-field disks. workers is ignored: accumulation is serial because
+// it is already output-sensitive over the grid, and the quantized
+// integer adds keep any future sharding bit-identical.
+func (ev *Evaluator) batch(radii []float64, _ int) {
 	if obs.On() {
 		obsBatchSets.Inc()
 		sp := obs.Start("phys.batchset")
@@ -275,17 +175,18 @@ func (ev *Evaluator) BatchSet(radii []float64, workers int) {
 	for i := range ev.pw {
 		ev.pw[i] = 0
 	}
-	for u, r := range ev.radii {
+	pts, grid := ev.Points(), ev.Grid()
+	for u, r := range radii {
 		if r <= 0 {
 			continue
 		}
-		p := ev.pts[u]
-		ev.buf = ev.grid.Within(p, ev.model.FarField*r, ev.buf[:0])
+		p := pts[u]
+		ev.buf = grid.Within(p, ev.model.FarField*r, ev.buf[:0])
 		for _, v := range ev.buf {
 			if v == u {
 				continue
 			}
-			ev.pw[v] += ev.model.Units(r, p.Dist2(ev.pts[v]))
+			ev.pw[v] += ev.model.Units(r, p.Dist2(pts[v]))
 		}
 	}
 	ev.rebuildLevels()
@@ -310,27 +211,13 @@ func (ev *Evaluator) rebuildLevels() {
 	}
 }
 
-// AddPoint appends a new (initially silent) node and returns its index.
-// The newcomer's own power sum is one range query bounded by the
-// largest current far-field reach. It panics while a snapshot is
-// active.
-func (ev *Evaluator) AddPoint(p geom.Point) int {
-	if len(ev.marks) > 0 {
-		panic("phys: AddPoint during active snapshot")
-	}
+// add appends the newcomer's power sum: one range query bounded by the
+// largest current far-field reach.
+func (ev *Evaluator) add(idx int, p geom.Point, maxR float64) {
 	if obs.On() {
 		obsAddPoints.Inc()
 	}
-	if ev.grid == nil {
-		ev.pts = append(ev.pts, p)
-		ev.grid = geom.NewGrid(ev.pts, 1)
-	} else {
-		ev.grid.Add(p)
-		ev.pts = ev.grid.Points()
-	}
-	idx := len(ev.pts) - 1
-	ev.radii = append(ev.radii, 0)
-	ev.pw = append(ev.pw, ev.recount(idx, p))
+	ev.pw = append(ev.pw, ev.recount(idx, p, maxR))
 	l := level(ev.pw[idx])
 	ev.sumLevels += int64(l)
 	if l > ev.maxLevel {
@@ -340,49 +227,46 @@ func (ev *Evaluator) AddPoint(p geom.Point) int {
 	}
 	if obs.On() {
 		obsMaxLevel.Set(float64(ev.maxLevel))
-		obsTruncBound.Set(ev.model.TruncationBound(len(ev.pts)))
+		obsTruncBound.Set(ev.model.TruncationBound(len(ev.pw)))
 	}
-	return idx
 }
 
 // recount computes node idx's power sum from scratch at position p:
 // one range query bounded by the largest current far-field reach.
-func (ev *Evaluator) recount(idx int, p geom.Point) int64 {
-	if ev.maxR <= 0 {
+func (ev *Evaluator) recount(idx int, p geom.Point, maxR float64) int64 {
+	if maxR <= 0 {
 		return 0
 	}
 	var pw int64
-	ev.buf = ev.grid.Within(p, ev.model.FarField*ev.maxR, ev.buf[:0])
+	pts := ev.Points()
+	ev.buf = ev.Grid().Within(p, ev.model.FarField*maxR, ev.buf[:0])
 	for _, u := range ev.buf {
-		if u != idx && ev.radii[u] > 0 {
-			pw += ev.model.Units(ev.radii[u], ev.pts[u].Dist2(p))
+		if r := ev.Radius(u); u != idx && r > 0 {
+			pw += ev.model.Units(r, pts[u].Dist2(p))
 		}
 	}
 	return pw
 }
 
-// RemovePoint deletes the node at idx: its signal is silenced and it
-// stops counting as a receiver. Indices above idx shift down by one.
-// It panics while a snapshot is active.
-func (ev *Evaluator) RemovePoint(idx int) {
-	if len(ev.marks) > 0 {
-		panic("phys: RemovePoint during active snapshot")
+// move recounts the relocated node's own power sum.
+func (ev *Evaluator) move(idx int, p geom.Point, maxR float64) {
+	if obs.On() {
+		obsMovePoints.Inc()
 	}
-	if idx < 0 || idx >= len(ev.pts) {
-		panic(fmt.Sprintf("phys: RemovePoint index %d out of range", idx))
+	if delta := ev.recount(idx, p, maxR) - ev.pw[idx]; delta != 0 {
+		ev.addPW(idx, delta)
 	}
+}
+
+// remove drops the removed node's level from the sum and the max pair.
+func (ev *Evaluator) remove(idx int) {
 	if obs.On() {
 		obsRemovePoints.Inc()
 	}
-	ev.SetRadius(idx, 0)
 	l := level(ev.pw[idx])
 	ev.sumLevels -= int64(l)
-	wasMax := l == ev.maxLevel
-	ev.grid.Remove(idx)
-	ev.pts = ev.grid.Points()
-	ev.radii = append(ev.radii[:idx], ev.radii[idx+1:]...)
 	ev.pw = append(ev.pw[:idx], ev.pw[idx+1:]...)
-	if wasMax {
+	if l == ev.maxLevel {
 		ev.atMax--
 		if ev.atMax == 0 {
 			ev.rescanMax()
@@ -390,61 +274,24 @@ func (ev *Evaluator) RemovePoint(idx int) {
 	}
 	if obs.On() {
 		obsMaxLevel.Set(float64(ev.maxLevel))
-		obsTruncBound.Set(ev.model.TruncationBound(len(ev.pts)))
+		obsTruncBound.Set(ev.model.TruncationBound(len(ev.pw)))
 	}
 }
 
-// MovePoint relocates the node at idx, keeping its index and radius:
-// silence at the old position, recount own power at the new position,
-// re-light at the new position. It panics while a snapshot is active.
-func (ev *Evaluator) MovePoint(idx int, p geom.Point) {
-	if len(ev.marks) > 0 {
-		panic("phys: MovePoint during active snapshot")
-	}
-	if idx < 0 || idx >= len(ev.pts) {
-		panic(fmt.Sprintf("phys: MovePoint index %d out of range", idx))
-	}
-	if obs.On() {
-		obsMovePoints.Inc()
-	}
-	r := ev.radii[idx]
-	ev.SetRadius(idx, 0)
-	// ev.pts aliases the grid's slice, so the grid update is visible
-	// through ev.pts[idx] immediately.
-	ev.grid.Move(idx, p)
-	if delta := ev.recount(idx, p) - ev.pw[idx]; delta != 0 {
-		ev.addPW(idx, delta)
-	}
-	ev.SetRadius(idx, r)
-}
-
-// Reset returns the evaluator to the all-zero assignment without
-// reallocating, discarding any active snapshots.
-func (ev *Evaluator) Reset() {
-	for i := range ev.radii {
-		ev.radii[i] = 0
+func (ev *Evaluator) reset() {
+	for i := range ev.pw {
 		ev.pw[i] = 0
 	}
 	ev.sumLevels = 0
 	ev.maxLevel = 0
-	ev.atMax = len(ev.pts)
-	ev.maxR = 0
-	ev.undo = ev.undo[:0]
-	ev.marks = ev.marks[:0]
+	ev.atMax = len(ev.pw)
 }
 
-// ExportState copies the observables into dst (levels as the I
-// vector), mirroring core.Evaluator.ExportState.
-func (ev *Evaluator) ExportState(dst *core.State) *core.State {
-	if dst == nil {
-		dst = &core.State{}
-	}
-	dst.Points = append(dst.Points[:0], ev.pts...)
-	dst.Radii = append(dst.Radii[:0], ev.radii...)
+// export writes the levels as the I vector.
+func (ev *Evaluator) export(dst *core.State) {
 	dst.I = dst.I[:0]
 	for _, p := range ev.pw {
 		dst.I = append(dst.I, level(p))
 	}
 	dst.Max = ev.maxLevel
-	return dst
 }

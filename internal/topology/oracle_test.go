@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/oracle"
 	"repro/internal/topology"
+	"repro/internal/udg"
 )
 
 // Differential tests against internal/oracle: every algorithm in the zoo
@@ -89,6 +90,18 @@ func TestGreedyNeverWorseThanNaiveBaselines(t *testing.T) {
 		mstI := oracle.InterferenceOf(pts, topology.MST(pts))
 		if greedyI > mstI {
 			t.Errorf("trial %d: GreedyMinI %d above MST %d", trial, greedyI, mstI)
+		}
+	}
+}
+
+func TestNNFEveryNodeLinksToNearest(t *testing.T) {
+	rng := rand.New(rand.NewSource(104))
+	pts := gen.UniformSquare(rng, 50, 2)
+	f := topology.NNF(pts)
+	for u := range pts {
+		v, d := oracle.Nearest(pts, u)
+		if d <= udg.Radius && !f.HasEdge(u, v) {
+			t.Errorf("node %d missing link to nearest neighbor %d", u, v)
 		}
 	}
 }

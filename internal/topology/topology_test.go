@@ -62,18 +62,6 @@ func TestNNFIsForest(t *testing.T) {
 	}
 }
 
-func TestNNFEveryNodeLinksToNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	pts := uniformPoints(rng, 50, 2, 2)
-	f := NNF(pts)
-	for u := range pts {
-		v, d := geom.NearestBrute(pts, u)
-		if d <= udg.Radius && !f.HasEdge(u, v) {
-			t.Errorf("node %d missing link to nearest neighbor %d", u, v)
-		}
-	}
-}
-
 func TestNNFTrivial(t *testing.T) {
 	if NNF(nil).N() != 0 {
 		t.Error("empty NNF wrong")
