@@ -153,8 +153,8 @@ func CoveredBy(pts []geom.Point, g *graph.Graph, v int) []int {
 	return out
 }
 
-// GridCell exposes the evaluator's cell-size heuristic so alternative
-// measure engines (internal/phys) index the same point set the same way.
+// GridCell exposes the evaluator's cell-size heuristic, so other indexes
+// over the same point set size their cells the same way.
 func GridCell(pts []geom.Point) float64 { return gridCell(pts) }
 
 // gridCell picks a cell size for interference evaluation: the mean

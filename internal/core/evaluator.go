@@ -40,6 +40,8 @@ type Evaluator struct {
 	hist    []int // hist[i] = number of nodes with I(v) == i
 	max     int
 	buf     []int
+	mark    []uint32 // MaxIfGrown: mark[x] == stamp iff x entered u's disk
+	stamp   uint32
 }
 
 // senders names the embedded sender side without exporting the field,
@@ -81,6 +83,63 @@ func (ev *Evaluator) SumI() int {
 		sum += i * ev.hist[i]
 	}
 	return sum
+}
+
+// MaxIfGrown returns the I(G') that growing u's and v's radii to at
+// least w would give — what GrowTo(u, w); GrowTo(v, w); Max() reads —
+// without changing anything. The nodes entering u's disk and those
+// entering v's each gain one (a node entering both gains two, and no
+// disk counts its own center), so the answer is the larger of the
+// current maximum and those nodes' raised I(x), read off the same two
+// annuli GrowTo would enumerate. v < 0 grows u alone; u != v. Cost is
+// O(|annuli|) plus the touched cells: the greedy constructions price
+// each candidate edge with it.
+func (ev *Evaluator) MaxIfGrown(u, v int, w float64) int {
+	best := ev.max
+	growV := v >= 0 && w > ev.radii[v]
+	if growV {
+		ev.nextStamp()
+	}
+	if w > ev.radii[u] {
+		ev.buf = ev.grid.WithinAnnulus(ev.pts[u], ev.radii[u], w, ev.buf[:0])
+		for _, x := range ev.buf {
+			if x == u {
+				continue
+			}
+			if growV {
+				ev.mark[x] = ev.stamp
+			}
+			if i := ev.iv[x] + 1; i > best {
+				best = i
+			}
+		}
+	}
+	if growV {
+		ev.buf = ev.grid.WithinAnnulus(ev.pts[v], ev.radii[v], w, ev.buf[:0])
+		for _, x := range ev.buf {
+			if x == v {
+				continue
+			}
+			i := ev.iv[x] + 1
+			if ev.mark[x] == ev.stamp {
+				i++
+			}
+			if i > best {
+				best = i
+			}
+		}
+	}
+	return best
+}
+
+// nextStamp starts a fresh MaxIfGrown marking: no node carries the new
+// stamp. The mark array follows the point count lazily.
+func (ev *Evaluator) nextStamp() {
+	ev.stamp++
+	if len(ev.mark) < len(ev.iv) || ev.stamp == 0 {
+		ev.mark = make([]uint32, len(ev.iv))
+		ev.stamp = 1
+	}
 }
 
 // Vector returns a copy of the current per-node interference vector.

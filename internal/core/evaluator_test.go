@@ -190,3 +190,85 @@ func BenchmarkFullInterference(b *testing.B) {
 		InterferenceRadii(pts, radii)
 	}
 }
+
+// TestMaxIfGrownMatchesGrowTo: the read-only price of growing u (and v)
+// to w equals what the mutating path reads — Snapshot, GrowTo each
+// endpoint, Max, Restore — on random radius assignments with coincident
+// copies and exact-boundary radii, for one and two grown endpoints,
+// across AddPoint/RemovePoint/MovePoint, and leaves the engine unchanged.
+func TestMaxIfGrownMatchesGrowTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(50)
+		side := 0.5 + rng.Float64()*3
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			if i > 0 && rng.Intn(6) == 0 {
+				pts[i] = pts[rng.Intn(i)] // coincident copy
+			} else {
+				pts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
+			}
+		}
+		ev := NewEvaluator(pts)
+		for step := 0; step < 150; step++ {
+			switch rng.Intn(12) {
+			case 0:
+				ev.AddPoint(geom.Pt(rng.Float64()*side, rng.Float64()*side))
+			case 1:
+				if ev.N() > 2 {
+					ev.RemovePoint(rng.Intn(ev.N()))
+				}
+			case 2:
+				ev.MovePoint(rng.Intn(ev.N()), geom.Pt(rng.Float64()*side, rng.Float64()*side))
+			case 3, 4, 5:
+				// A radius reaching exactly some other node: the disk
+				// boundary the greedy constructions grow to.
+				u, cur := rng.Intn(ev.N()), ev.Points()
+				ev.SetRadius(u, cur[u].Dist(cur[rng.Intn(ev.N())]))
+			}
+			cur := ev.Points()
+			u, v := rng.Intn(ev.N()), -1
+			if rng.Intn(4) != 0 {
+				if v = rng.Intn(ev.N() - 1); v >= u {
+					v++
+				}
+			}
+			var w float64
+			switch rng.Intn(3) {
+			case 0:
+				w = rng.Float64() * 1.5
+			case 1:
+				w = cur[u].Dist(cur[rng.Intn(ev.N())])
+			default:
+				w = ev.Radius(u)
+			}
+			before := ev.ExportState(nil)
+			got := ev.MaxIfGrown(u, v, w)
+			if after := ev.ExportState(nil); !sameState(before, after) {
+				t.Fatalf("trial %d step %d: MaxIfGrown changed the engine", trial, step)
+			}
+			ev.Snapshot()
+			ev.GrowTo(u, w)
+			if v >= 0 {
+				ev.GrowTo(v, w)
+			}
+			want := ev.Max()
+			ev.Restore()
+			if got != want {
+				t.Fatalf("trial %d step %d: MaxIfGrown(%d, %d, %v) = %d, GrowTo path reads %d", trial, step, u, v, w, got, want)
+			}
+		}
+	}
+}
+
+func sameState(a, b *State) bool {
+	if a.Max != b.Max || len(a.I) != len(b.I) || len(a.Radii) != len(b.Radii) {
+		return false
+	}
+	for i := range a.I {
+		if a.I[i] != b.I[i] || a.Radii[i] != b.Radii[i] {
+			return false
+		}
+	}
+	return true
+}

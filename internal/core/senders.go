@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -96,13 +97,13 @@ func (s *Senders) Radii() []float64 {
 //	old := ev.SetRadius(u, r)
 //	if ev.Max() > budget { ev.SetRadius(u, old) }
 //
-// It panics on a negative or NaN radius.
+// It panics on a radius that is negative, NaN or infinite.
 func (s *Senders) SetRadius(u int, r float64) float64 {
 	old := s.radii[u]
 	if r == old {
 		return old
 	}
-	if !(r >= 0) {
+	if !validRadius(r) {
 		panic(fmt.Sprintf("core: invalid radius %v for node %d", r, u))
 	}
 	if len(s.marks) > 0 {
@@ -111,6 +112,11 @@ func (s *Senders) SetRadius(u int, r float64) float64 {
 	s.apply(u, r)
 	return old
 }
+
+// validRadius reports whether r is a radius an engine can account: finite
+// and non-negative. An infinite disk would cover every receiver, which
+// neither engine's annulus and far-field enumerations express.
+func validRadius(r float64) bool { return r >= 0 && r <= math.MaxFloat64 }
 
 // apply performs the radius change without journaling.
 func (s *Senders) apply(u int, r float64) {
@@ -176,8 +182,8 @@ func (s *Senders) inRange(op string, idx int) {
 // BatchSet replaces the entire radius assignment in one pass. workers is
 // passed to the receiver side (<= 0 selects GOMAXPROCS where it shards).
 // It panics, leaving the engine unchanged, on a length mismatch, a
-// negative or NaN radius, or an active snapshot (a whole-vector reset
-// has no cheap undo).
+// negative, NaN or infinite radius, or an active snapshot (a
+// whole-vector reset has no cheap undo).
 func (s *Senders) BatchSet(radii []float64, workers int) {
 	if len(radii) != len(s.pts) {
 		panic("core: radius vector length mismatch")
@@ -185,7 +191,7 @@ func (s *Senders) BatchSet(radii []float64, workers int) {
 	s.structural("BatchSet")
 	maxR := 0.0
 	for u, r := range radii {
-		if !(r >= 0) {
+		if !validRadius(r) {
 			panic(fmt.Sprintf("core: invalid radius %v for node %d in BatchSet", r, u))
 		}
 		if r > maxR {

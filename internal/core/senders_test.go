@@ -20,7 +20,7 @@ func TestInvalidRadiusLeavesEngineUnchanged(t *testing.T) {
 		"graph": func() *oracle.DiffEvaluator { return oracle.NewDiffEvaluator(pts) },
 		"sinr":  func() *oracle.DiffEvaluator { return oracle.NewDiffPhysEvaluator(pts, phys.Default()) },
 	}
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	ops := []struct {
 		name string
 		op   func(d *oracle.DiffEvaluator)
@@ -31,6 +31,10 @@ func TestInvalidRadiusLeavesEngineUnchanged(t *testing.T) {
 		{"SetRadius NaN", func(d *oracle.DiffEvaluator) { d.SetRadius(1, nan) }},
 		{"SetRadius NaN on silent node", func(d *oracle.DiffEvaluator) { d.SetRadius(2, nan) }},
 		{"GrowTo NaN", func(d *oracle.DiffEvaluator) { d.GrowTo(1, nan) }},
+		{"BatchSet +Inf", func(d *oracle.DiffEvaluator) { d.BatchSet([]float64{2, inf, 0}, 0) }},
+		{"SetRadius +Inf", func(d *oracle.DiffEvaluator) { d.SetRadius(1, inf) }},
+		{"SetRadius +Inf on silent node", func(d *oracle.DiffEvaluator) { d.SetRadius(2, inf) }},
+		{"GrowTo +Inf", func(d *oracle.DiffEvaluator) { d.GrowTo(1, inf) }},
 	}
 	for measure, mk := range engines {
 		for _, tc := range ops {

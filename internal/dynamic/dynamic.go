@@ -245,9 +245,9 @@ func (m *Maintainer) Snapshot() RestoreState {
 // against a from-scratch replay. nil factory selects core.NewEvaluator.
 //
 // Restore returns an error, never panics, on a state no maintainer can
-// be in: NaN or negative radii, edges out of range, self-loops, edges
-// that are not UDG edges, or a topology whose partition differs from
-// the UDG's (one disk query per node). Snapshots are taken between
+// be in: NaN, infinite or negative radii, edges out of range,
+// self-loops, edges that are not UDG edges, or a topology whose
+// partition differs from the UDG's (one disk query per node). Snapshots are taken between
 // batches, where the settle has made the partitions agree.
 func Restore(st RestoreState, rebuildFactor float64, factory EngineFactory) (*Maintainer, error) {
 	if len(st.Radii) != len(st.Points) {
@@ -255,7 +255,7 @@ func Restore(st RestoreState, rebuildFactor float64, factory EngineFactory) (*Ma
 	}
 	m := newMaintainer(rebuildFactor, factory)
 	for i, r := range st.Radii {
-		if math.IsNaN(r) || r < 0 {
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
 			return nil, fmt.Errorf("dynamic: restore: node %d has radius %v", i, r)
 		}
 	}

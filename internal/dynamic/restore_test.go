@@ -37,6 +37,7 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		{"non-UDG edge", func(st *dynamic.RestoreState) { st.Edges[1] = graph.Edge{U: 0, V: 2, W: 2} }, "not a UDG edge"},
 		{"NaN radius", func(st *dynamic.RestoreState) { st.Radii[1] = math.NaN() }, "radius"},
 		{"negative radius", func(st *dynamic.RestoreState) { st.Radii[2] = -1 }, "radius"},
+		{"+Inf radius", func(st *dynamic.RestoreState) { st.Radii[0] = math.Inf(1) }, "radius"},
 		{"split UDG component", func(st *dynamic.RestoreState) { st.Edges = st.Edges[:1] }, "crosses"},
 	} {
 		st := good()

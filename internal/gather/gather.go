@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/lazy"
 	"repro/internal/udg"
 )
 
@@ -179,11 +180,12 @@ func MSTTree(pts []geom.Point, sink int) Tree {
 // GreedyMinITree grows the gathering tree from the sink, always attaching
 // the outside node whose uplink minimizes the resulting directed
 // interference (ties: shorter uplink, then smaller ids). Because an
-// uplink only sets the CHILD's radius, each speculative evaluation grows
-// a single disk — the directed problem is even more local than the
-// undirected one. Lazy greedy applies unchanged (radii only grow).
+// uplink only sets the CHILD's radius, each evaluation grows a single
+// disk — the directed problem is even more local than the undirected one.
+// The lazy-greedy engine applies unchanged (radii only grow): an uplink
+// enters the heap under the current I(G') as its lower bound and is
+// priced, read-only, only when it reaches the top.
 func GreedyMinITree(pts []geom.Point, sink int) Tree {
-	base := udg.Build(pts)
 	n := len(pts)
 	parent := make([]int, n)
 	for i := range parent {
@@ -193,73 +195,31 @@ func GreedyMinITree(pts []geom.Point, sink int) Tree {
 	inTree := make([]bool, n)
 	inTree[sink] = true
 
-	evaluate := func(child int, w float64) int {
-		old := inc.GrowTo(child, w)
-		cand := inc.Max()
-		inc.SetRadius(child, old)
-		return cand
-	}
-
-	h := &candHeap{}
+	// A candidate reads (cost, w, child, parent): U is the child.
+	dead := func(c lazy.Cand) bool { return inTree[c.U] }
+	cost := func(c lazy.Cand) int { return inc.MaxIfGrown(c.U, -1, c.W) }
+	var h lazy.Heap
+	var nbrs []int
 	pushFrontier := func(u int) {
-		for _, v := range base.Neighbors(u) {
-			if !inTree[v] {
-				w := pts[u].Dist(pts[v])
-				heap.Push(h, cand{cost: evaluate(v, w), w: w, child: v, par: u})
+		nbrs = inc.Grid().Within(pts[u], udg.Radius, nbrs[:0])
+		for _, v := range nbrs {
+			if v != u && !inTree[v] {
+				h.Push(lazy.Cand{Cost: inc.Max(), W: pts[u].Dist(pts[v]), U: v, V: u})
 			}
 		}
 	}
 	pushFrontier(sink)
-	for h.Len() > 0 {
-		c := heap.Pop(h).(cand)
-		if inTree[c.child] {
-			continue
+	for {
+		c, ok := h.Pop(dead, cost)
+		if !ok {
+			break
 		}
-		cur := evaluate(c.child, c.w)
-		if cur != c.cost && h.Len() > 0 && !less(cand{cost: cur, w: c.w, child: c.child, par: c.par}, h.items[0]) {
-			c.cost = cur
-			heap.Push(h, c)
-			continue
-		}
-		parent[c.child] = c.par
-		inc.GrowTo(c.child, c.w)
-		inTree[c.child] = true
-		pushFrontier(c.child)
+		parent[c.U] = c.V
+		inc.GrowTo(c.U, c.W)
+		inTree[c.U] = true
+		pushFrontier(c.U)
 	}
 	return Tree{Sink: sink, Parent: parent}
-}
-
-type cand struct {
-	cost  int
-	w     float64
-	child int
-	par   int
-}
-
-func less(a, b cand) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
-	if a.w != b.w {
-		return a.w < b.w
-	}
-	if a.child != b.child {
-		return a.child < b.child
-	}
-	return a.par < b.par
-}
-
-type candHeap struct{ items []cand }
-
-func (h *candHeap) Len() int           { return len(h.items) }
-func (h *candHeap) Less(i, j int) bool { return less(h.items[i], h.items[j]) }
-func (h *candHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *candHeap) Push(x interface{}) { h.items = append(h.items, x.(cand)) }
-func (h *candHeap) Pop() interface{} {
-	old := h.items
-	it := old[len(old)-1]
-	h.items = old[:len(old)-1]
-	return it
 }
 
 type nodeDist struct {

@@ -81,8 +81,9 @@ type Follower struct {
 	cfg FollowerConfig
 	mx  *metrics
 
+	// done is closed by Stop under mu; Run registers with wg under mu
+	// only while done is open, so wg.Wait after Stop sees every Run.
 	done chan struct{}
-	stop sync.Once
 	wg   sync.WaitGroup
 
 	mu     sync.Mutex
@@ -164,12 +165,16 @@ func (f *Follower) Stats() FollowerStats {
 	}
 }
 
-// Stop ends the feed loop. Idempotent; safe from any goroutine.
+// Stop ends the feed loop. Idempotent; safe from any goroutine. The
+// close happens under f.mu, the lock Run registers under, so once Stop
+// returns every Run has either registered with f.wg or will see the
+// closed channel and never register: Promote's f.wg.Wait cannot race an
+// Add.
 func (f *Follower) Stop() {
-	f.stop.Do(func() {
-		close(f.done)
-	})
 	f.mu.Lock()
+	if !f.stopped() {
+		close(f.done)
+	}
 	c := f.conn
 	f.mu.Unlock()
 	if c != nil {
@@ -190,7 +195,13 @@ func (f *Follower) stopped() bool {
 // error. Every connection death reconnects from the applied cursor with
 // capped exponential backoff.
 func (f *Follower) Run() error {
+	f.mu.Lock()
+	if f.stopped() {
+		f.mu.Unlock()
+		return nil
+	}
 	f.wg.Add(1)
+	f.mu.Unlock()
 	defer f.wg.Done()
 	backoff := f.cfg.Backoff
 	for {

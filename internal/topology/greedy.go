@@ -1,11 +1,10 @@
 package topology
 
 import (
-	"container/heap"
-
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/lazy"
 	"repro/internal/udg"
 )
 
@@ -22,107 +21,54 @@ import (
 // precisely what Theorem 4.1's gadget punishes the zoo for; and unlike
 // LIFE it optimizes the receiver-centric objective directly.
 //
-// Implementation: lazy greedy. Radii only grow as the tree grows, so
-// interference is monotone and any stale evaluation of a candidate edge
-// is a LOWER bound on its current cost. Candidates live in a min-heap
-// keyed by their last evaluation; a popped candidate is re-evaluated and
-// accepted only if it still beats the next key — the standard lazy
-// evaluation argument makes this exactly equivalent to re-scanning every
-// cut edge each round, at a fraction of the cost.
+// Implementation: lazy greedy (internal/lazy). Radii only grow as the
+// tree grows, so the current I(G') is a lower bound on any cut edge's
+// cost: a cut edge enters the heap under that bound, unevaluated, once
+// per directed pair, and is priced exactly — read-only, by
+// core.Evaluator.MaxIfGrown — only when it reaches the top. The accepted
+// edge is the argmin of the exact (cost, w, u, v) keys, so the output
+// equals the eager greedy's that prices every cut edge (kept as
+// oracle.GreedyMinI), at the cost of the candidates the tree pops.
+// Neighbours come from the evaluator's grid; no UDG is built.
 func GreedyMinI(pts []geom.Point) *graph.Graph {
-	base := udg.Build(pts)
 	g := graph.New(len(pts))
 	if len(pts) < 2 {
 		return g
 	}
 	inc := core.NewEvaluator(pts)
 	inTree := make([]bool, len(pts))
-
-	evaluate := func(u, v int, w float64) int {
-		oldU := inc.GrowTo(u, w)
-		oldV := inc.GrowTo(v, w)
-		cand := inc.Max()
-		inc.SetRadius(u, oldU)
-		inc.SetRadius(v, oldV)
-		return cand
-	}
-
-	h := &candHeap{}
+	var h lazy.Heap
+	var nbrs []int
 	pushFrontier := func(u int) {
-		for _, v := range base.Neighbors(u) {
-			if !inTree[v] {
-				w := pts[u].Dist(pts[v])
-				heap.Push(h, candidate{cost: evaluate(u, v, w), w: w, u: u, v: v})
+		nbrs = inc.Grid().Within(pts[u], udg.Radius, nbrs[:0])
+		for _, v := range nbrs {
+			if v != u && !inTree[v] {
+				h.Push(lazy.Cand{Cost: inc.Max(), W: pts[u].Dist(pts[v]), U: u, V: v})
 			}
 		}
 	}
+	dead := func(c lazy.Cand) bool { return inTree[c.V] }
+	cost := func(c lazy.Cand) int { return inc.MaxIfGrown(c.U, c.V, c.W) }
 
-	for start := 0; start < len(pts); start++ {
-		if inTree[start] || base.Degree(start) == 0 {
+	for start := range pts {
+		if inTree[start] {
 			continue
 		}
 		inTree[start] = true
-		h.items = h.items[:0]
 		pushFrontier(start)
-		for h.Len() > 0 {
-			c := heap.Pop(h).(candidate)
-			if inTree[c.v] {
-				continue
+		for {
+			c, ok := h.Pop(dead, cost)
+			if !ok {
+				break
 			}
-			// Lazy re-evaluation: the stored cost is a lower bound.
-			cur := evaluate(c.u, c.v, c.w)
-			if cur != c.cost && h.Len() > 0 && !c.less(candidate{cost: cur, w: c.w, u: c.u, v: c.v}, h.items[0]) {
-				c.cost = cur
-				heap.Push(h, c)
-				continue
-			}
-			g.AddEdge(c.u, c.v, c.w)
-			inc.GrowTo(c.u, c.w)
-			inc.GrowTo(c.v, c.w)
-			inTree[c.v] = true
-			pushFrontier(c.v)
+			g.AddEdge(c.U, c.V, c.W)
+			inc.GrowTo(c.U, c.W)
+			inc.GrowTo(c.V, c.W)
+			inTree[c.V] = true
+			pushFrontier(c.V)
 		}
 	}
 	return g
-}
-
-// candidate is a cut edge with its last-evaluated interference cost.
-type candidate struct {
-	cost int
-	w    float64
-	u, v int
-}
-
-// less orders candidates by (cost, w, u, v) — the greedy tie-break.
-func (candidate) less(a, b candidate) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
-	if a.w != b.w {
-		return a.w < b.w
-	}
-	if a.u != b.u {
-		return a.u < b.u
-	}
-	return a.v < b.v
-}
-
-type candHeap struct {
-	items []candidate
-}
-
-func (h *candHeap) Len() int { return len(h.items) }
-func (h *candHeap) Less(i, j int) bool {
-	var c candidate
-	return c.less(h.items[i], h.items[j])
-}
-func (h *candHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *candHeap) Push(x interface{}) { h.items = append(h.items, x.(candidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := h.items
-	it := old[len(old)-1]
-	h.items = old[:len(old)-1]
-	return it
 }
 
 // GreedySumI is GreedyMinI's sibling for the AVERAGE-interference
@@ -136,83 +82,62 @@ func (h *candHeap) Pop() interface{} {
 // The attachment cost of an edge is the exact coverage increase
 // |annulus(u; old r, new r)| + |D(v, |uv|)| − self-counts, computed from
 // the grid index; costs only grow as radii grow, so the same lazy-greedy
-// engine applies.
+// engine applies. Keys are exact at push time: the coverage increase
+// has no cheap lower bound above zero.
 func GreedySumI(pts []geom.Point) *graph.Graph {
-	base := udg.Build(pts)
 	g := graph.New(len(pts))
 	if len(pts) < 2 {
 		return g
 	}
-	grid := geom.NewGrid(pts, sumICell(pts))
+	grid := geom.NewGrid(pts, core.GridCell(pts))
 	radii := make([]float64, len(pts))
 	inTree := make([]bool, len(pts))
 
-	// coverage increase if u grows to ru and v grows to rv.
-	cost := func(u int, ru float64, v int, rv float64) int {
-		c := 0
-		if ru > radii[u] {
-			c += grid.CountWithin(pts[u], ru) - grid.CountWithin(pts[u], radii[u])
+	// coverage increase if u and v grow to w.
+	cost := func(c lazy.Cand) int {
+		n := 0
+		for _, x := range [2]int{c.U, c.V} {
+			if c.W > radii[x] {
+				n += grid.CountWithin(pts[x], c.W) - grid.CountWithin(pts[x], radii[x])
+			}
 		}
-		if rv > radii[v] {
-			c += grid.CountWithin(pts[v], rv) - grid.CountWithin(pts[v], radii[v])
-		}
-		return c
+		return n
 	}
+	dead := func(c lazy.Cand) bool { return inTree[c.V] }
 
-	h := &candHeap{}
+	var h lazy.Heap
+	var nbrs []int
 	pushFrontier := func(u int) {
-		for _, v := range base.Neighbors(u) {
-			if !inTree[v] {
-				w := pts[u].Dist(pts[v])
-				heap.Push(h, candidate{cost: cost(u, w, v, w), w: w, u: u, v: v})
+		nbrs = grid.Within(pts[u], udg.Radius, nbrs[:0])
+		for _, v := range nbrs {
+			if v != u && !inTree[v] {
+				c := lazy.Cand{W: pts[u].Dist(pts[v]), U: u, V: v}
+				c.Cost = cost(c)
+				h.Push(c)
 			}
 		}
 	}
-	for start := 0; start < len(pts); start++ {
-		if inTree[start] || base.Degree(start) == 0 {
+	for start := range pts {
+		if inTree[start] {
 			continue
 		}
 		inTree[start] = true
-		h.items = h.items[:0]
 		pushFrontier(start)
-		for h.Len() > 0 {
-			c := heap.Pop(h).(candidate)
-			if inTree[c.v] {
-				continue
+		for {
+			c, ok := h.Pop(dead, cost)
+			if !ok {
+				break
 			}
-			cur := cost(c.u, c.w, c.v, c.w)
-			if cur != c.cost && h.Len() > 0 && !c.less(candidate{cost: cur, w: c.w, u: c.u, v: c.v}, h.items[0]) {
-				c.cost = cur
-				heap.Push(h, c)
-				continue
+			g.AddEdge(c.U, c.V, c.W)
+			if c.W > radii[c.U] {
+				radii[c.U] = c.W
 			}
-			g.AddEdge(c.u, c.v, c.w)
-			if c.w > radii[c.u] {
-				radii[c.u] = c.w
+			if c.W > radii[c.V] {
+				radii[c.V] = c.W
 			}
-			if c.w > radii[c.v] {
-				radii[c.v] = c.w
-			}
-			inTree[c.v] = true
-			pushFrontier(c.v)
+			inTree[c.V] = true
+			pushFrontier(c.V)
 		}
 	}
 	return g
-}
-
-// sumICell mirrors the adaptive cell sizing used elsewhere.
-func sumICell(pts []geom.Point) float64 {
-	b := geom.Bounds(pts)
-	ext := b.Width()
-	if b.Height() > ext {
-		ext = b.Height()
-	}
-	if ext <= 0 {
-		return 1
-	}
-	c := ext / float64(1+len(pts)/4)
-	if c <= 0 {
-		return 1
-	}
-	return c
 }

@@ -138,3 +138,14 @@ func TestGreedySumITrivial(t *testing.T) {
 		t.Error("singleton wrong")
 	}
 }
+
+// BenchmarkGreedyMinI4096 times the rebuild every session creation,
+// recovery and drift rebuild pays, on the serving benchmark's instance:
+// n=4096 uniform on a 12.8 square (~78 expected neighbours).
+func BenchmarkGreedyMinI4096(b *testing.B) {
+	pts := gen.UniformSquare(rand.New(rand.NewSource(1)), 4096, 12.8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GreedyMinI(pts)
+	}
+}

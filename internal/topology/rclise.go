@@ -1,12 +1,12 @@
 package topology
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/lazy"
 	"repro/internal/udg"
 )
 
@@ -18,50 +18,45 @@ import (
 // endpoints are not yet connected within t times its length; the loop
 // ends when every UDG edge is t-spanned.
 //
-// Like GreedyMinI this uses lazy greedy: I(G') is monotone in the edge
-// set, so a stale evaluation is a lower bound and the heap's usual
-// re-check argument applies; and "already spanned" is absorbing (edges
-// only shrink distances), so spanned candidates are dropped for good.
+// Like GreedyMinI this uses lazy greedy (internal/lazy): I(G') is
+// monotone in the edge set, so a stale evaluation is a lower bound and
+// the heap's usual re-check argument applies; and "already spanned" is
+// absorbing (edges only shrink distances), so spanned candidates are
+// dropped for good. Every UDG edge is priced when pushed, read-only by
+// core.Evaluator.MaxIfGrown: each pop pays a Dijkstra for the spanned
+// test, so exact keys that spare re-pushes pay for themselves.
 func RCLISE(pts []geom.Point, t float64) *graph.Graph {
-	base := udg.Build(pts)
 	g := graph.New(len(pts))
 	if len(pts) < 2 {
 		return g
 	}
 	inc := core.NewEvaluator(pts)
+	spanned := func(c lazy.Cand) bool {
+		d := g.Dijkstra(c.U)
+		return d[c.V] <= t*c.W*(1+1e-9) && !math.IsInf(d[c.V], 1)
+	}
+	cost := func(c lazy.Cand) int { return inc.MaxIfGrown(c.U, c.V, c.W) }
 
-	evaluate := func(e graph.Edge) int {
-		oldU := inc.GrowTo(e.U, e.W)
-		oldV := inc.GrowTo(e.V, e.W)
-		cand := inc.Max()
-		inc.SetRadius(e.U, oldU)
-		inc.SetRadius(e.V, oldV)
-		return cand
-	}
-	spanned := func(e graph.Edge) bool {
-		d := g.Dijkstra(e.U)
-		return d[e.V] <= t*e.W*(1+1e-9) && !math.IsInf(d[e.V], 1)
-	}
-
-	h := &candHeap{}
-	for _, e := range base.Edges() {
-		heap.Push(h, candidate{cost: evaluate(e), w: e.W, u: e.U, v: e.V})
-	}
-	for h.Len() > 0 {
-		c := heap.Pop(h).(candidate)
-		e := graph.NewEdge(c.u, c.v, c.w)
-		if spanned(e) {
-			continue
+	var h lazy.Heap
+	var nbrs []int
+	for u, p := range pts {
+		nbrs = inc.Grid().Within(p, udg.Radius, nbrs[:0])
+		for _, v := range nbrs {
+			if v > u {
+				c := lazy.Cand{W: p.Dist(pts[v]), U: u, V: v}
+				c.Cost = cost(c)
+				h.Push(c)
+			}
 		}
-		cur := evaluate(e)
-		if cur != c.cost && h.Len() > 0 && !c.less(candidate{cost: cur, w: c.w, u: c.u, v: c.v}, h.items[0]) {
-			c.cost = cur
-			heap.Push(h, c)
-			continue
+	}
+	for {
+		c, ok := h.Pop(spanned, cost)
+		if !ok {
+			break
 		}
-		g.AddEdge(e.U, e.V, e.W)
-		inc.GrowTo(e.U, e.W)
-		inc.GrowTo(e.V, e.W)
+		g.AddEdge(c.U, c.V, c.W)
+		inc.GrowTo(c.U, c.W)
+		inc.GrowTo(c.V, c.W)
 	}
 	return g
 }
