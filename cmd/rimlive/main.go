@@ -293,7 +293,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Server-side per-stage breakdown from the always-on flight recorder.
 	// Only meaningful with -self: the records live in this process; a
 	// remote rimd's are behind its own /debug/obs/flight.
-	var stages [5][]int64 // queue, coalesce, wal, apply, publish (µs)
+	var stages [6][]int64 // queue, coalesce, wal, apply, settle, publish (µs)
 	if *self && obs.Available {
 		for _, fr := range obs.DefaultFlight().Records() {
 			if fr.Session != *session {
@@ -303,7 +303,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			stages[1] = append(stages[1], int64(fr.CoalesceUS))
 			stages[2] = append(stages[2], int64(fr.WALUS))
 			stages[3] = append(stages[3], int64(fr.ApplyUS))
-			stages[4] = append(stages[4], int64(fr.PublishUS))
+			stages[4] = append(stages[4], int64(fr.SettleUS))
+			stages[5] = append(stages[5], int64(fr.PublishUS))
 		}
 		for i := range stages {
 			s := stages[i]
@@ -311,9 +312,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if n := len(stages[0]); n > 0 {
 			stageUS := func(i int, q float64) float64 { return float64(quant(stages[i], q)) }
-			fmt.Fprintf(stdout, "rimlive: server stages µs (p50/p99 over %d batches): queue=%.0f/%.0f coalesce=%.0f/%.0f wal=%.0f/%.0f apply=%.0f/%.0f publish=%.0f/%.0f\n",
+			fmt.Fprintf(stdout, "rimlive: server stages µs (p50/p99 over %d batches): queue=%.0f/%.0f coalesce=%.0f/%.0f wal=%.0f/%.0f apply=%.0f/%.0f settle=%.0f/%.0f publish=%.0f/%.0f\n",
 				n, stageUS(0, .5), stageUS(0, .99), stageUS(1, .5), stageUS(1, .99),
-				stageUS(2, .5), stageUS(2, .99), stageUS(3, .5), stageUS(3, .99), stageUS(4, .5), stageUS(4, .99))
+				stageUS(2, .5), stageUS(2, .99), stageUS(3, .5), stageUS(3, .99),
+				stageUS(4, .5), stageUS(4, .99), stageUS(5, .5), stageUS(5, .99))
 		}
 	}
 	if errors > 0 {
@@ -335,10 +337,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			pctOf(byKind[sub.KindThreshold], 0.50), pctOf(byKind[sub.KindThreshold], 0.99),
 			pctOf(byKind[sub.KindRegion], 0.50), pctOf(byKind[sub.KindRegion], 0.99),
 			pctOf(byKind[sub.KindMax], 0.50), pctOf(byKind[sub.KindMax], 0.99))
-		fmt.Fprintf(stdout, " %d queue_p50_us %d queue_p99_us %d coalesce_p50_us %d coalesce_p99_us %d wal_p50_us %d wal_p99_us %d apply_p50_us %d apply_p99_us %d publish_p50_us %d publish_p99_us\n",
+		fmt.Fprintf(stdout, " %d queue_p50_us %d queue_p99_us %d coalesce_p50_us %d coalesce_p99_us %d wal_p50_us %d wal_p99_us %d apply_p50_us %d apply_p99_us %d settle_p50_us %d settle_p99_us %d publish_p50_us %d publish_p99_us\n",
 			quant(stages[0], .5), quant(stages[0], .99), quant(stages[1], .5), quant(stages[1], .99),
 			quant(stages[2], .5), quant(stages[2], .99), quant(stages[3], .5), quant(stages[3], .99),
-			quant(stages[4], .5), quant(stages[4], .99))
+			quant(stages[4], .5), quant(stages[4], .99), quant(stages[5], .5), quant(stages[5], .99))
 	}
 	if *maxP99 > 0 && pct(0.99) > *maxP99 {
 		fmt.Fprintf(stderr, "rimlive: p99 %.3fms exceeds the %.1fms bound\n", pct(0.99), *maxP99)

@@ -25,7 +25,7 @@ func TestStitchGolden(t *testing.T) {
 		epochNS = 1_000_000_000
 	)
 
-	// Leader: the traced batch root with its five stage children, exactly
+	// Leader: the traced batch root with its six stage children, exactly
 	// the shape serve.Session.recordBatchSpans lays down.
 	leader := obs.NewRecorder(64)
 	batchSpan := leader.Record(obs.SpanRecord{Name: "serve.batch", Start: epochNS, Dur: 900_000, Trace: trace, Link: 1})
@@ -38,7 +38,8 @@ func TestStitchGolden(t *testing.T) {
 		{"serve.queue", 0, 100_000},
 		{"serve.coalesce", 100_000, 50_000},
 		{"serve.wal", 150_000, 200_000},
-		{"serve.apply", 350_000, 400_000},
+		{"serve.apply", 350_000, 250_000},
+		{"serve.settle", 600_000, 150_000},
 		{"serve.publish", 750_000, 150_000},
 	}
 	for _, st := range stages {

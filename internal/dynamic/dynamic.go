@@ -31,10 +31,13 @@
 // operation, or once at EndBatch under BeginBatch. Every topology edge
 // is a UDG edge, so the repair's crossing-edge search is also the whole
 // "topology matches the UDG" check. The search is local too: the
-// maintainer keeps a component label per node, the operations record
-// the nodes whose edges they changed, and a settle explores only the
-// components those nodes lie in and disk-queries only the nodes a
-// crossing edge can start from, never the whole instance.
+// maintainer keeps a component label per node and each node's UDG
+// neighbour list (built on first use, patched by the one disk query an
+// arrival or move makes), the operations record the nodes whose edges
+// they changed, and a settle explores from those nodes only until every
+// old component but one piece per label is accounted for, then reads
+// the neighbour lists of the nodes a crossing edge can start from —
+// never the whole instance, and no disk query for a listed node.
 //
 // Drift control: local rules accumulate suboptimality, so the
 // maintainer tracks I(G') incrementally and rebuilds with the greedy
@@ -164,21 +167,32 @@ type Maintainer struct {
 	touched []int32
 	moved   []int32
 
+	// nbr[u] lists u's UDG neighbours, {v ≠ u : geom.InDisk(p_u,
+	// udg.Radius, p_v)} in no particular order, or is nil until u's
+	// first use (see settle.go).
+	nbr [][]int32
+
 	// Settle scratch, stamped and reused so a settle allocates nothing
 	// in steady state.
-	stamp    uint64
-	nodeScr  []nodeScratch
-	labelScr []labelScratch
-	nodes    []int32 // explored pieces, concatenated
-	pieceAt  []int32 // piece p is nodes[pieceAt[p]:pieceAt[p+1]]
-	plabels  []int32 // old labels met in the piece being explored
-	query    []int32
-	buf      []int
-	cross    []graph.Edge
-	parent   []int32 // union-find over pieces, then untouched components
-	rep      []int32 // a node of each untouched component in parent
-	target   []int32
-	walk     []int32
+	stamp     uint64
+	nodeScr   []nodeScratch
+	labelScr  []labelScratch
+	searches  []searchScratch
+	spar      []int32 // union-find over the settle's searches
+	seedsLeft int     // seeds not yet expanded
+	act       []int32 // unfinished searches
+	nodes     []int32 // finished pieces, concatenated
+	pieceAt   []int32 // piece p is nodes[pieceAt[p]:pieceAt[p+1]]
+	plabels   []int32 // old labels met in the piece being counted
+	query     []int32
+	buf       []int
+	cross     []graph.Edge
+	lightest  map[uint64]int32 // element pair -> its edge's index in cross
+	parent    []int32          // union-find over pieces, then labeled components
+	rep       []int32          // a node of each labeled component in parent
+	target    []int32
+	walk      []int32
+	moveScr   []int // Move's copy of the node's topology neighbours
 }
 
 // New starts a maintainer over the initial instance, built with the
@@ -192,6 +206,7 @@ func New(pts []geom.Point, rebuildFactor float64) *Maintainer {
 // DiffEvaluator to shadow-check every maintenance op.
 func NewWithEngine(pts []geom.Point, rebuildFactor float64, factory EngineFactory) *Maintainer {
 	m := newMaintainer(rebuildFactor, factory)
+	m.nbr = make([][]int32, len(pts))
 	m.rebuild(pts)
 	return m
 }
@@ -273,6 +288,7 @@ func Restore(st RestoreState, rebuildFactor float64, factory EngineFactory) (*Ma
 	}
 	m.eng = m.factory(st.Points)
 	m.eng.BatchSet(st.Radii, 0)
+	m.nbr = make([][]int32, len(st.Points))
 	m.relabel()
 	if u, v, ok := m.crossingEdge(); ok {
 		return nil, fmt.Errorf("dynamic: restore: UDG edge (%d,%d) crosses two topology components", u, v)
@@ -362,7 +378,8 @@ func (m *Maintainer) Insert(p geom.Point) int {
 	m.size[l] = 1
 	m.label = append(m.label, l)
 	m.moved = append(m.moved, int32(idx))
-	m.link(idx, p)
+	m.nbr = append(m.nbr, nil)
+	m.link(idx, m.place(idx, p))
 	// The newcomer's own disk (radius 0 when no neighbor answered —
 	// still a disk: coincident nodes are covered at distance zero).
 	m.touch(p, m.eng.Radius(idx))
@@ -372,18 +389,21 @@ func (m *Maintainer) Insert(p geom.Point) int {
 	return idx
 }
 
-// link joins the newcomer (or moved node) idx at p to its nearest
-// in-range neighbor, straight off the engine's grid: one topology edge,
-// idx's radius set to reach it, and the neighbor's radius grown to
-// answer. Out-of-range nodes stay unlinked.
-func (m *Maintainer) link(idx int, p geom.Point) {
-	if best, bestD := m.eng.Grid().Nearest(idx); best >= 0 && geom.InDisk(p, udg.Radius, m.points()[best]) {
-		m.topo.AddEdge(idx, best, bestD)
-		m.record(idx, best)
-		m.eng.SetRadius(idx, bestD)
-		old := m.eng.GrowTo(best, bestD)
-		m.touch(m.points()[best], math.Max(old, bestD))
+// link joins the newcomer (or moved node) idx to best, its nearest
+// in-range neighbor as place found it: one topology edge, idx's radius
+// set to reach it, and the neighbor's radius grown to answer. best < 0
+// (nothing in range) leaves idx unlinked.
+func (m *Maintainer) link(idx, best int) {
+	if best < 0 {
+		return
 	}
+	pts := m.points()
+	d := pts[idx].Dist(pts[best])
+	m.topo.AddEdge(idx, best, d)
+	m.record(idx, best)
+	m.eng.SetRadius(idx, d)
+	old := m.eng.GrowTo(best, d)
+	m.touch(pts[best], math.Max(old, d))
 }
 
 // shrink lowers v's radius to its farthest topology neighbor other than
@@ -424,6 +444,7 @@ func (m *Maintainer) Remove(idx int) {
 	}
 	m.eng.RemovePoint(idx)
 	m.forget(idx)
+	m.dropNbrs(idx)
 	// Rebuild the topology over the surviving nodes with edges remapped;
 	// the victim's neighbors are touched.
 	remap := func(v int) int {
@@ -518,19 +539,20 @@ func (m *Maintainer) Move(idx int, p geom.Point) {
 	// dirty, capped by the node's former radius.
 	m.touch(m.points()[idx], m.eng.Radius(idx))
 	// Former neighbors shrink exactly as on Remove.
-	nbrs := append([]int(nil), m.topo.Neighbors(idx)...)
-	for _, v := range nbrs {
+	m.moveScr = append(m.moveScr[:0], m.topo.Neighbors(idx)...)
+	for _, v := range m.moveScr {
 		m.topo.RemoveEdge(idx, v)
 		m.record(idx, v)
 	}
-	for _, v := range nbrs {
+	for _, v := range m.moveScr {
 		m.shrink(v, idx)
 	}
 	// Silence before relocating so the engine's move pays only the
 	// receiver-side recount, then re-link like an arrival.
+	m.unplace(idx)
 	m.eng.SetRadius(idx, 0)
 	m.eng.MovePoint(idx, p)
-	m.link(idx, p)
+	m.link(idx, m.place(idx, p))
 	m.moved = append(m.moved, int32(idx))
 	m.touch(p, m.eng.Radius(idx))
 	m.needRepair, m.needCheck = true, true

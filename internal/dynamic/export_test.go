@@ -45,3 +45,15 @@ func LabelsErr(m *Maintainer) error {
 	}
 	return nil
 }
+
+// Nbrs returns node u's maintained UDG neighbour list and whether it is
+// built.
+func Nbrs(m *Maintainer, u int) ([]int32, bool) { return m.nbr[u], m.nbr[u] != nil }
+
+// BuildNbrs builds every node's neighbour list, so later operations must
+// patch all of them.
+func BuildNbrs(m *Maintainer) {
+	for u := range m.nbr {
+		m.nbrs(u)
+	}
+}

@@ -40,8 +40,8 @@ func settleHash(m *dynamic.Maintainer) uint64 {
 // liveChurnReplay is rimbench live_churn's shape driven straight into a
 // maintainer: n=4096 waypoint nodes on a 64 square (~3 expected
 // neighbours, below percolation), 600 batches of at most 64 moves, and
-// one leave plus one join every 25 batches.
-func liveChurnReplay(seed int64) *dynamic.Maintainer {
+// one leave plus one join every 25 batches. end closes each batch.
+func liveChurnReplay(seed int64, end func(*dynamic.Maintainer)) *dynamic.Maintainer {
 	const n, side, batches, movers, every = 4096, 64, 600, 64, 25
 	rng := rand.New(rand.NewSource(seed))
 	model := mobility.NewWaypoint(rng, n, side, side, 0.5, 3.0, 1.0)
@@ -77,7 +77,7 @@ func liveChurnReplay(seed int64) *dynamic.Maintainer {
 			at[v] = -1
 			m.Insert(geom.Pt(rng.Float64()*side, rng.Float64()*side))
 		}
-		m.EndBatch()
+		end(m)
 	}
 	return m
 }
@@ -85,8 +85,8 @@ func liveChurnReplay(seed int64) *dynamic.Maintainer {
 // recoverReplay is rimbench recover's shape: n=4096 uniform on a 25.6
 // square, 160 batches of 32 operations, 15 SetRadius and the rest
 // teleporting moves, with every 8th batch trading a SetRadius for one
-// join and one leave.
-func recoverReplay(seed int64) *dynamic.Maintainer {
+// join and one leave. end closes each batch.
+func recoverReplay(seed int64, end func(*dynamic.Maintainer)) *dynamic.Maintainer {
 	const n, side, batches, ops, sets, joinEvery = 4096, 25.6, 160, 32, 15, 8
 	const (
 		opMove = iota
@@ -124,7 +124,7 @@ func recoverReplay(seed int64) *dynamic.Maintainer {
 				m.Move(rng.Intn(cur), geom.Pt(rng.Float64()*side, rng.Float64()*side))
 			}
 		}
-		m.EndBatch()
+		end(m)
 	}
 	return m
 }
@@ -152,9 +152,9 @@ func TestGoldenSettle4096(t *testing.T) {
 	for _, g := range golden {
 		var m *dynamic.Maintainer
 		if g.shape == "live_churn" {
-			m = liveChurnReplay(g.seed)
+			m = liveChurnReplay(g.seed, (*dynamic.Maintainer).EndBatch)
 		} else {
-			m = recoverReplay(g.seed)
+			m = recoverReplay(g.seed, (*dynamic.Maintainer).EndBatch)
 		}
 		if got, h := m.Interference(), settleHash(m); got != g.interference || m.Rebuilds() != g.rebuilds || h != g.hash {
 			t.Errorf("%s seed %d: I=%d rebuilds=%d hash %#016x; golden I=%d rebuilds=%d hash %#016x",

@@ -15,4 +15,6 @@ var (
 		"Topology adjacency visits made by settles exploring and relabeling touched components.")
 	obsSettleScanned = obs.Default().Counter("rim_dynamic_settle_scanned_total",
 		"Unit-disk queries made by settles looking for crossing UDG edges.")
+	obsSettleCrossing = obs.Default().Counter("rim_dynamic_settle_crossing_total",
+		"Crossing UDG edges settles collected for the repair's Kruskal, before keeping the lightest per component pair.")
 )

@@ -5,12 +5,13 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/udg"
 )
 
-// Component labels and the local settle.
+// Component labels, the unit-disk adjacency and the local settle.
 //
 // The maintainer keeps label[u], the id of node u's topology component,
 // and size[l], the node count of label l; free holds empty label ids for
@@ -20,14 +21,24 @@ import (
 // topology edge added or removed, moved the nodes that arrived or moved.
 // Labels can only be stale on the components of those nodes, so the
 // settle looks there and nowhere else.
+//
+// nbr[u] is u's UDG neighbourhood, built by one disk query on u's first
+// use and kept exact from then on: the disk query an arrival or move
+// makes at the node's new position fills its list and adds it to the
+// built lists of its new neighbours, a move first takes it out of its
+// old neighbours' lists, and Remove shifts every built list down. Only
+// the point set decides the lists, so rebuilds and anneals keep them.
 
-// nodeScratch and labelScratch are the settle's per-node and per-label
-// working state. Every field is valid only while its stamp equals the
-// current settle's (or piece's) stamp, so nothing is ever cleared.
+// nodeScratch, labelScratch and searchScratch are the settle's per-node,
+// per-label and per-search working state. Every field is valid only
+// while its stamp equals the current settle's (or round's, or piece's)
+// stamp, so nothing is ever cleared.
 type nodeScratch struct {
-	seen    uint64 // settle stamp: explored into a piece
+	seen    uint64 // settle stamp: found by a search
 	queried uint64 // settle stamp: in the settle's query set
-	piece   int32  // the piece it was explored into
+	search  int32  // the search that found it
+	next    int32  // the next node its search found, -1 at the tail
+	piece   int32  // its finished piece, else -1
 }
 
 type labelScratch struct {
@@ -35,9 +46,101 @@ type labelScratch struct {
 	count     int32  // the label's nodes in that piece
 	bestAt    uint64 // settle stamp the best fields belong to
 	best      int32  // most of the label's nodes found in one piece
-	bestPiece int32  // that piece
+	bestPiece int32  // that piece, or -1 when a skipped search holds the label
 	elemAt    uint64 // settle stamp elem belongs to
-	elem      int32  // union-find element of an untouched component
+	elem      int32  // union-find element of a labeled component
+	skipAt    uint64 // round stamp: an unfinished search holds the label
+}
+
+// A search's nodes form a list through nodeScratch.next in the order
+// found, starting at its seed; head is the first still to expand. A
+// merge links the absorbed search's unexpanded rest behind the
+// survivor's tail, so the absorbed search keeps exactly the done nodes
+// it expanded itself.
+type searchScratch struct {
+	seed    int32  // the touched node it started from
+	label   int32  // the one old label of every seed absorbed, -1 once two
+	head    int32  // next node to expand, -1 when none is left
+	tail    int32  // last node of its list
+	done    int32  // nodes it expanded, seed included
+	roundAt uint64 // round stamp: counted by the stop test
+	pieceAt uint64 // settle stamp piece belongs to
+	piece   int32  // its piece index once finished
+}
+
+// nbrs returns u's UDG neighbour list, building it by one disk query on
+// first use.
+func (m *Maintainer) nbrs(u int) []int32 {
+	if m.nbr[u] == nil {
+		m.buf = m.eng.Grid().Within(m.points()[u], udg.Radius, m.buf[:0])
+		m.nbr[u] = m.fromQuery(u, nil)
+	}
+	return m.nbr[u]
+}
+
+// fromQuery returns u's list out of m.buf, a disk query around u, in l's
+// storage when it fits. The list is sized to the degree and never nil.
+func (m *Maintainer) fromQuery(u int, l []int32) []int32 {
+	if need := max(len(m.buf)-1, 0); l == nil || cap(l) < need {
+		l = make([]int32, 0, need)
+	}
+	l = l[:0]
+	for _, v := range m.buf {
+		if v != u {
+			l = append(l, int32(v))
+		}
+	}
+	return l
+}
+
+// place gives idx, just added or moved to p, its neighbour list from one
+// disk query, adds idx to its new neighbours' built lists, and returns
+// its nearest neighbour in range, or -1: least Dist2, ties to the lower
+// index, exactly as geom.Grid.Nearest answers when that is in range.
+func (m *Maintainer) place(idx int, p geom.Point) int {
+	pts := m.points()
+	m.buf = m.eng.Grid().Within(p, udg.Radius, m.buf[:0])
+	m.nbr[idx] = m.fromQuery(idx, m.nbr[idx])
+	best, bestD2 := -1, math.Inf(1)
+	for _, v32 := range m.nbr[idx] {
+		v := int(v32)
+		if d2 := p.Dist2(pts[v]); d2 < bestD2 || d2 == bestD2 && v < best {
+			best, bestD2 = v, d2
+		}
+		if m.nbr[v] != nil {
+			m.nbr[v] = addNbr(m.nbr[v], int32(idx))
+		}
+	}
+	return best
+}
+
+// unplace takes idx, about to move, out of its neighbours' built lists.
+func (m *Maintainer) unplace(idx int) {
+	for _, v := range m.nbrs(idx) {
+		if l := m.nbr[v]; l != nil {
+			i := slices.Index(l, int32(idx))
+			l[i] = l[len(l)-1]
+			m.nbr[v] = l[:len(l)-1]
+		}
+	}
+}
+
+// addNbr appends v to a built list, growing it by a quarter rather than
+// doubling: lists are sized to the degree, and most never grow.
+func addNbr(l []int32, v int32) []int32 {
+	if len(l) == cap(l) {
+		l = append(make([]int32, 0, len(l)+len(l)/4+1), l...)
+	}
+	return append(l, v)
+}
+
+// dropNbrs deletes node idx from the adjacency, shifting higher indices
+// down by one as Remove shifts the points.
+func (m *Maintainer) dropNbrs(idx int) {
+	m.nbr = slices.Delete(m.nbr, idx, idx+1)
+	for u, l := range m.nbr {
+		m.nbr[u] = shiftOut(l, idx) // an unbuilt (nil) list stays nil
+	}
 }
 
 // relabel recomputes every label with one Components pass. rebuild,
@@ -95,16 +198,17 @@ func (m *Maintainer) forget(idx int) {
 // shiftOut removes idx from list in place and decrements the entries
 // above it.
 func shiftOut(list []int32, idx int) []int32 {
-	out := list[:0]
+	x, k := int32(idx), 0
 	for _, v := range list {
-		switch {
-		case int(v) < idx:
-			out = append(out, v)
-		case int(v) > idx:
-			out = append(out, v-1)
+		if v != x {
+			if v > x {
+				v--
+			}
+			list[k] = v
+			k++
 		}
 	}
-	return out
+	return list[:k]
 }
 
 // repairConnectivity makes the topology's partition match the UDG's
@@ -121,11 +225,13 @@ func shiftOut(list []int32, idx int) []int32 {
 //
 // The cost is what the changes touched. Before them, labels, topology
 // partition and UDG partition agreed, so a crossing UDG edge either has
-// a moved endpoint (the edge is new) or joins two pieces of one old
-// label that the changes split. explore labels the touched components,
-// and scan disk-queries the moved nodes plus, per split label, the
-// nodes outside its largest piece: a crossing edge between two pieces
-// of one label has an endpoint there.
+// a moved endpoint (the edge is new) or joins two components that hold
+// nodes of one old label the changes split. explore searches from the
+// touched nodes until it may leave one component per old label
+// unexplored, and scan reads the neighbour lists of the moved nodes
+// plus, per split label, the nodes outside the one component it keeps:
+// a crossing edge between two components of one label has an endpoint
+// there.
 func (m *Maintainer) repairConnectivity(join bool) bool {
 	defer func() { m.touched, m.moved = m.touched[:0], m.moved[:0] }()
 	if len(m.touched) == 0 && len(m.moved) == 0 {
@@ -149,72 +255,237 @@ func (m *Maintainer) repairConnectivity(join bool) bool {
 	return found
 }
 
-// explore walks the current topology from the touched nodes, one full
-// component (a piece) at a time, into m.nodes; piece p is
-// m.nodes[m.pieceAt[p]:m.pieceAt[p+1]]. For every old label met it
-// records the piece holding most of its nodes. It returns the number of
-// adjacency visits.
+// explore finds the current topology's components around the touched
+// nodes. It runs one breadth-first search per touched node (a seed),
+// interleaved a node per search per round, and merges two searches
+// when one finds a node of the other. A search whose frontier empties
+// has found a whole component, a finished piece. explore stops as soon
+// as every unfinished search may be skipped:
+//
+//   - every seed it absorbed carries one old label L, and
+//   - no other unfinished search carries L.
+//
+// Then each skipped search's component holds label L only, and holds
+// every node of L outside the finished pieces: an edge between two old
+// labels was added since the last settle, so both its ends are seeds,
+// and expanding every seed before the first stop test puts the two in
+// one search. A skipped component thus keeps label L as a whole, like
+// an untouched one, and is never walked: of a label split in two, only
+// the smaller side is explored, the Even–Shiloach bound.
+//
+// The finished pieces' nodes land in m.nodes, piece p in
+// m.nodes[m.pieceAt[p]:m.pieceAt[p+1]]. For every old label met there
+// explore records the piece it keeps: the one holding most of its
+// nodes, or none (-1) when a skipped search holds the label. It returns
+// the number of adjacency visits.
 func (m *Maintainer) explore(at uint64) int {
-	m.nodes, m.pieceAt = m.nodes[:0], m.pieceAt[:0]
-	visits := 0
+	m.act = m.act[:0]
 	for _, s := range m.touched {
 		if m.nodeScr[s].seen == at {
 			continue
 		}
-		p := int32(len(m.pieceAt))
-		start := len(m.nodes)
-		m.pieceAt = append(m.pieceAt, int32(start))
+		id := int32(len(m.act))
+		if int(id) == len(m.searches) {
+			m.searches = append(m.searches, searchScratch{})
+			m.spar = append(m.spar, 0)
+		}
+		m.searches[id] = searchScratch{seed: s, label: m.label[s], head: s, tail: s}
+		m.spar[id] = id
+		m.nodeScr[s] = nodeScratch{seen: at, search: id, next: -1, piece: -1}
+		m.act = append(m.act, id)
+	}
+	searches := len(m.act)
+	m.seedsLeft = searches
+	visits := 0
+	for m.seedsLeft > 0 || !m.mayStop() {
+		for _, r := range m.act {
+			if u := m.searches[m.root(r)].head; u >= 0 {
+				visits += m.expand(at, u)
+			}
+		}
+	}
+	m.groupPieces(at, searches)
+	return visits
+}
+
+// expand visits u's topology neighbours for u's search, whose head u
+// is: a new node joins its list, a node of another search merges the
+// two.
+func (m *Maintainer) expand(at uint64, u int32) int {
+	id := m.nodeScr[u].search
+	if m.searches[id].seed == u {
+		m.seedsLeft--
+	}
+	r := m.root(id)
+	sc := &m.searches[r]
+	sc.head = m.nodeScr[u].next
+	sc.done++
+	nb := m.topo.Neighbors(int(u))
+	for _, v := range nb {
+		switch ns := &m.nodeScr[v]; {
+		case ns.seen != at:
+			*ns = nodeScratch{seen: at, search: r, next: -1, piece: -1}
+			sc = &m.searches[r]
+			m.nodeScr[sc.tail].next = int32(v)
+			sc.tail = int32(v)
+			if sc.head < 0 {
+				sc.head = int32(v)
+			}
+		case ns.search == id || ns.search == r:
+		default:
+			if rv := m.root(ns.search); rv != r {
+				r = m.merge(r, rv)
+			}
+		}
+	}
+	return len(nb)
+}
+
+// merge unites searches a and b and returns the survivor: b's
+// unexpanded rest joins a's list behind its unexpanded rest.
+func (m *Maintainer) merge(a, b int32) int32 {
+	sa, sb := &m.searches[a], &m.searches[b]
+	m.spar[b] = a
+	if sb.head >= 0 {
+		if sa.head < 0 {
+			sa.head = sb.head
+		}
+		m.nodeScr[sa.tail].next = sb.head
+		sa.tail = sb.tail
+	}
+	if sa.label != sb.label {
+		sa.label = -1
+	}
+	return a
+}
+
+// root returns the surviving search search x was merged into, halving
+// paths.
+func (m *Maintainer) root(x int32) int32 {
+	for m.spar[x] != x {
+		m.spar[x] = m.spar[m.spar[x]]
+		x = m.spar[x]
+	}
+	return x
+}
+
+// mayStop prunes m.act to the distinct unfinished searches and reports
+// whether all of them may be skipped (see explore). The labels they hold
+// are left stamped with the round.
+func (m *Maintainer) mayStop() bool {
+	m.stamp++
+	round := m.stamp
+	ok := true
+	act := m.act[:0]
+	for _, r := range m.act {
+		r = m.root(r)
+		sc := &m.searches[r]
+		if sc.roundAt == round || sc.head < 0 {
+			continue
+		}
+		sc.roundAt = round
+		act = append(act, r)
+		if sc.label < 0 {
+			ok = false
+			continue
+		}
+		ls := &m.labelScr[sc.label]
+		if ls.skipAt == round {
+			ok = false
+		}
+		ls.skipAt = round
+	}
+	m.act = act
+	return ok
+}
+
+// groupPieces numbers the finished searches as pieces, gathers their
+// nodes into m.nodes, and records the piece each old label keeps.
+func (m *Maintainer) groupPieces(at uint64, searches int) {
+	for _, r := range m.act {
+		ls := &m.labelScr[m.searches[r].label]
+		ls.bestAt, ls.best, ls.bestPiece = at, math.MaxInt32, -1
+	}
+	m.pieceAt = m.pieceAt[:0]
+	for s := range searches {
+		r := &m.searches[m.root(int32(s))]
+		if r.head >= 0 {
+			continue
+		}
+		if r.pieceAt != at {
+			r.pieceAt, r.piece = at, int32(len(m.pieceAt))
+			m.pieceAt = append(m.pieceAt, 0)
+		}
+		m.pieceAt[r.piece] += m.searches[s].done
+	}
+	total := int32(0)
+	for p, c := range m.pieceAt {
+		m.pieceAt[p] = total
+		total += c
+	}
+	m.pieceAt = append(m.pieceAt, total)
+	m.nodes = slices.Grow(m.nodes[:0], int(total))[:total]
+	for s := range searches {
+		r := &m.searches[m.root(int32(s))]
+		if r.head >= 0 {
+			continue
+		}
+		i := m.pieceAt[r.piece]
+		for u, k := m.searches[s].seed, int32(0); k < m.searches[s].done; k++ {
+			m.nodes[i+k] = u
+			u = m.nodeScr[u].next
+		}
+		m.pieceAt[r.piece] += m.searches[s].done
+	}
+	// The fill advanced each start to the next piece's: shift back.
+	copy(m.pieceAt[1:], m.pieceAt[:len(m.pieceAt)-1])
+	m.pieceAt[0] = 0
+	for p := 0; p+1 < len(m.pieceAt); p++ {
 		m.stamp++
 		pieceStamp := m.stamp
-		m.nodeScr[s] = nodeScratch{seen: at, piece: p}
-		m.nodes = append(m.nodes, s)
 		m.plabels = m.plabels[:0]
-		for i := start; i < len(m.nodes); i++ {
-			u := m.nodes[i]
+		for _, u := range m.nodes[m.pieceAt[p]:m.pieceAt[p+1]] {
+			m.nodeScr[u].piece = int32(p)
 			ls := &m.labelScr[m.label[u]]
 			if ls.countAt != pieceStamp {
 				ls.countAt, ls.count = pieceStamp, 0
 				m.plabels = append(m.plabels, m.label[u])
 			}
 			ls.count++
-			nb := m.topo.Neighbors(int(u))
-			visits += len(nb)
-			for _, v := range nb {
-				if m.nodeScr[v].seen != at {
-					m.nodeScr[v] = nodeScratch{seen: at, piece: p}
-					m.nodes = append(m.nodes, int32(v))
-				}
-			}
 		}
 		for _, l := range m.plabels {
 			ls := &m.labelScr[l]
 			if ls.bestAt != at || ls.count > ls.best {
-				ls.bestAt, ls.best, ls.bestPiece = at, ls.count, p
+				ls.bestAt, ls.best, ls.bestPiece = at, ls.count, int32(p)
 			}
 		}
 	}
-	m.pieceAt = append(m.pieceAt, int32(len(m.nodes)))
-	return visits
+}
+
+// inPiece reports whether u lies in one of the settle's finished pieces.
+func (m *Maintainer) inPiece(at uint64, u int) bool {
+	return m.nodeScr[u].seen == at && m.nodeScr[u].piece >= 0
 }
 
 // sameComponent reports whether u and v lie in one component of the
-// current topology: one piece, or one untouched (hence still correctly
-// labeled) component.
+// current topology: one finished piece, or one labeled component — an
+// untouched one or a skipped search's, either holding its label alone.
 func (m *Maintainer) sameComponent(at uint64, u, v int) bool {
-	su, sv := m.nodeScr[u].seen == at, m.nodeScr[v].seen == at
+	pu, pv := m.inPiece(at, u), m.inPiece(at, v)
 	switch {
-	case su != sv:
+	case pu != pv:
 		return false
-	case su:
+	case pu:
 		return m.nodeScr[u].piece == m.nodeScr[v].piece
 	}
 	return m.label[u] == m.label[v]
 }
 
-// scan collects the crossing UDG edges into m.cross, each once, by
-// disk-querying the moved nodes and every piece node outside its old
-// label's largest piece. With join unset it stops at the first crossing
-// edge and reports it. It also returns the number of disk queries.
+// scan collects the crossing UDG edges into m.cross, each once, from the
+// neighbour lists of the moved nodes and of every piece node outside the
+// piece its old label keeps. With join unset it stops at the first
+// crossing edge and reports it. It also returns the number of lists it
+// had to build by a disk query.
 func (m *Maintainer) scan(at uint64, join bool) (found bool, scanned int) {
 	m.query = m.query[:0]
 	query := func(u int32) {
@@ -232,14 +503,15 @@ func (m *Maintainer) scan(at uint64, join bool) (found bool, scanned int) {
 		}
 	}
 	pts := m.points()
-	grid := m.eng.Grid()
 	m.cross = m.cross[:0]
 	for _, u32 := range m.query {
 		u := int(u32)
-		scanned++
-		m.buf = grid.Within(pts[u], udg.Radius, m.buf[:0])
-		for _, v := range m.buf {
-			if v == u || m.sameComponent(at, u, v) {
+		if m.nbr[u] == nil {
+			scanned++
+		}
+		for _, v32 := range m.nbrs(u) {
+			v := int(v32)
+			if m.sameComponent(at, u, v) {
 				continue
 			}
 			if m.nodeScr[v].queried == at && v < u {
@@ -252,42 +524,45 @@ func (m *Maintainer) scan(at uint64, join bool) (found bool, scanned int) {
 			m.cross = append(m.cross, graph.Edge{U: a, V: b, W: pts[u].Dist(pts[v])})
 		}
 	}
+	if obs.On() {
+		obsSettleCrossing.Add(int64(len(m.cross)))
+	}
 	return false, scanned
 }
 
 // join runs Kruskal over m.cross in (W, U, V) order with a union-find
-// whose elements are the pieces (0..P-1) and then the untouched
+// whose elements are the finished pieces (0..P-1) and then the labeled
 // components met, in order; m.rep holds a node of each of the latter.
+// Kruskal accepts at most the first edge between two elements, so only
+// the lightest crossing edge per element pair is sorted.
 func (m *Maintainer) join(at uint64) {
-	slices.SortFunc(m.cross, func(a, b graph.Edge) int {
-		if c := cmp.Compare(a.W, b.W); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.U, b.U); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.V, b.V)
-	})
 	pieces := len(m.pieceAt) - 1
 	m.parent, m.rep = m.parent[:0], m.rep[:0]
 	for p := 0; p < pieces; p++ {
 		m.parent = append(m.parent, int32(p))
 	}
-	elem := func(x int) int32 {
-		if m.nodeScr[x].seen == at {
-			return m.nodeScr[x].piece
-		}
-		ls := &m.labelScr[m.label[x]]
-		if ls.elemAt != at {
-			ls.elemAt, ls.elem = at, int32(len(m.parent))
-			m.parent = append(m.parent, ls.elem)
-			m.rep = append(m.rep, int32(x))
-		}
-		return ls.elem
+	if m.lightest == nil {
+		m.lightest = make(map[uint64]int32)
 	}
+	clear(m.lightest)
+	kept := m.cross[:0]
+	for _, e := range m.cross {
+		a, b := m.elem(at, e.U), m.elem(at, e.V)
+		key := uint64(min(a, b))<<32 | uint64(max(a, b))
+		if i, ok := m.lightest[key]; ok {
+			if edgeOrder(e, kept[i]) < 0 {
+				kept[i] = e
+			}
+			continue
+		}
+		m.lightest[key] = int32(len(kept))
+		kept = append(kept, e)
+	}
+	m.cross = kept
+	slices.SortFunc(m.cross, edgeOrder)
 	pts := m.points()
 	for _, e := range m.cross {
-		ru, rv := m.find(elem(e.U)), m.find(elem(e.V))
+		ru, rv := m.find(m.elem(at, e.U)), m.find(m.elem(at, e.V))
 		if ru == rv {
 			continue
 		}
@@ -303,6 +578,32 @@ func (m *Maintainer) join(at uint64) {
 	}
 }
 
+// edgeOrder is Kruskal's (W, U, V) order.
+func edgeOrder(a, b graph.Edge) int {
+	if c := cmp.Compare(a.W, b.W); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
+// elem returns x's union-find element in join: its finished piece, or
+// its labeled component's, appended on first use.
+func (m *Maintainer) elem(at uint64, x int) int32 {
+	if m.inPiece(at, x) {
+		return m.nodeScr[x].piece
+	}
+	ls := &m.labelScr[m.label[x]]
+	if ls.elemAt != at {
+		ls.elemAt, ls.elem = at, int32(len(m.parent))
+		m.parent = append(m.parent, ls.elem)
+		m.rep = append(m.rep, int32(x))
+	}
+	return ls.elem
+}
+
 // find returns the root of union-find element x, halving paths.
 func (m *Maintainer) find(x int32) int32 {
 	for m.parent[x] != x {
@@ -312,13 +613,17 @@ func (m *Maintainer) find(x int32) int32 {
 	return x
 }
 
-// relabelPieces gives each joined group one label. A group keeps its
-// largest untouched component's label; the pieces' old labels all empty
-// out (every node of a label that reaches a piece lies in a piece), and
-// smaller untouched components joined to the group are walked. It
-// returns the adjacency visits the walks took.
+// relabelPieces gives each joined group one label. The finished pieces'
+// nodes leave their old labels first, so a skipped search's label then
+// counts exactly its component, like an untouched one's. A group keeps
+// its largest labeled component's label, and the smaller labeled
+// components joined to the group are walked. It returns the adjacency
+// visits the walks took.
 func (m *Maintainer) relabelPieces() int {
 	pieces := len(m.pieceAt) - 1
+	for _, u := range m.nodes {
+		m.shrinkLabel(m.label[u])
+	}
 	m.target = m.target[:0]
 	for range m.parent {
 		m.target = append(m.target, -1)
@@ -328,9 +633,6 @@ func (m *Maintainer) relabelPieces() int {
 		if t := m.target[r]; t < 0 || m.size[l] > m.size[t] {
 			m.target[r] = l
 		}
-	}
-	for _, u := range m.nodes {
-		m.shrinkLabel(m.label[u])
 	}
 	for p := 0; p < pieces; p++ {
 		r := m.find(int32(p))
@@ -354,7 +656,7 @@ func (m *Maintainer) relabelPieces() int {
 	return visits
 }
 
-// walkRelabel moves the untouched component of s, every node labeled
+// walkRelabel moves the labeled component of s, every node labeled
 // from, to label to, and returns the adjacency visits it took.
 func (m *Maintainer) walkRelabel(s, from, to int32) int {
 	visits := 0

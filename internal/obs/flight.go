@@ -33,7 +33,8 @@ type FlightRecord struct {
 	QueueUS    uint32 `json:"queue_us"` // oldest mutation's enqueue→drain wait
 	CoalesceUS uint32 `json:"coalesce_us"`
 	WALUS      uint32 `json:"wal_us"`
-	ApplyUS    uint32 `json:"apply_us"`
+	ApplyUS    uint32 `json:"apply_us"`  // the batch's mutations, one by one
+	SettleUS   uint32 `json:"settle_us"` // the maintainer's settle at batch end
 	PublishUS  uint32 `json:"publish_us"`
 	Ops        uint32 `json:"ops"`
 	Err        uint8  `json:"err,omitempty"` // 1 = the batch hit a WAL failure
@@ -184,8 +185,8 @@ func (f *FlightLog) WriteText(w io.Writer, reason string) {
 	recs := f.Records()
 	fmt.Fprintf(w, "# flight recorder dump (%s): %d batches\n", reason, len(recs))
 	for _, r := range recs {
-		fmt.Fprintf(w, "t=%d sess=%s seq=%d ops=%d queue=%dus coalesce=%dus wal=%dus apply=%dus publish=%dus",
-			r.Start, r.Session, r.Seq, r.Ops, r.QueueUS, r.CoalesceUS, r.WALUS, r.ApplyUS, r.PublishUS)
+		fmt.Fprintf(w, "t=%d sess=%s seq=%d ops=%d queue=%dus coalesce=%dus wal=%dus apply=%dus settle=%dus publish=%dus",
+			r.Start, r.Session, r.Seq, r.Ops, r.QueueUS, r.CoalesceUS, r.WALUS, r.ApplyUS, r.SettleUS, r.PublishUS)
 		if r.Trace != 0 {
 			fmt.Fprintf(w, " trace=%016x span=%d", r.Trace, r.Span)
 		}

@@ -430,10 +430,15 @@ func (s *Session) runBatch() {
 	for i := range batch {
 		s.applyOne(batch[i])
 	}
-	s.mt.EndBatch()
 	if flOn {
 		now := time.Now()
 		fl.ApplyUS = obs.US(now.Sub(tMark))
+		tMark = now
+	}
+	s.mt.EndBatch()
+	if flOn {
+		now := time.Now()
+		fl.SettleUS = obs.US(now.Sub(tMark))
 		tMark = now
 	}
 	pub := sp.Child("serve.publish")
@@ -551,6 +556,7 @@ func (s *Session) recordBatchSpans(tc *obs.TraceContext, batchSpan uint64, fl ob
 	stage("serve.coalesce", fl.CoalesceUS)
 	stage("serve.wal", fl.WALUS)
 	stage("serve.apply", fl.ApplyUS)
+	stage("serve.settle", fl.SettleUS)
 	stage("serve.publish", fl.PublishUS)
 }
 
