@@ -21,7 +21,7 @@ test:
 # name so a -run filter typo can't silently skip it.
 check: vet
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -run 'Oracle|Law|Replay|BruteForce|Golden|Fuzz' -count=1 \
+	$(GO) test -run 'Oracle|Law|Replay|BruteForce|Golden|Fuzz|Property|Repair|Skip' -count=1 \
 		./internal/oracle/ ./internal/core/ ./internal/graph/ ./internal/opt/ ./internal/topology/ \
 		./internal/highway/ ./internal/dynamic/ ./internal/sim/ ./cmd/paperrepro/ \
 		./internal/serve/ ./internal/repl/ ./internal/exp/ ./cmd/ifctl/

@@ -34,10 +34,10 @@
 // maintainer keeps a component label per node and each node's UDG
 // neighbour list (built on first use, patched by the one disk query an
 // arrival or move makes), the operations record the nodes whose edges
-// they changed, and a settle explores from those nodes only until every
-// old component but one piece per label is accounted for, then reads
-// the neighbour lists of the nodes a crossing edge can start from —
-// never the whole instance, and no disk query for a listed node.
+// they changed, and a settle walks the components of those nodes only,
+// one plain breadth-first walk each, then reads the neighbour lists of
+// the nodes a crossing edge can start from — never the whole instance,
+// and no disk query for a listed node.
 //
 // Drift control: local rules accumulate suboptimality, so the
 // maintainer tracks I(G') incrementally and rebuilds with the greedy
@@ -174,25 +174,21 @@ type Maintainer struct {
 
 	// Settle scratch, stamped and reused so a settle allocates nothing
 	// in steady state.
-	stamp     uint64
-	nodeScr   []nodeScratch
-	labelScr  []labelScratch
-	searches  []searchScratch
-	spar      []int32 // union-find over the settle's searches
-	seedsLeft int     // seeds not yet expanded
-	act       []int32 // unfinished searches
-	nodes     []int32 // finished pieces, concatenated
-	pieceAt   []int32 // piece p is nodes[pieceAt[p]:pieceAt[p+1]]
-	plabels   []int32 // old labels met in the piece being counted
-	query     []int32
-	buf       []int
-	cross     []graph.Edge
-	lightest  map[uint64]int32 // element pair -> its edge's index in cross
-	parent    []int32          // union-find over pieces, then labeled components
-	rep       []int32          // a node of each labeled component in parent
-	target    []int32
-	walk      []int32
-	moveScr   []int // Move's copy of the node's topology neighbours
+	stamp    uint64
+	nodeScr  []nodeScratch
+	labelScr []labelScratch
+	nodes    []int32 // walked pieces, concatenated
+	pieceAt  []int32 // piece p is nodes[pieceAt[p]:pieceAt[p+1]]
+	plabels  []int32 // old labels met in the piece being walked
+	query    []int32
+	buf      []int
+	cross    []graph.Edge
+	lightest map[uint64]int32 // element pair -> its edge's index in cross
+	parent   []int32          // union-find over pieces, then untouched components
+	rep      []int32          // a node of each untouched component in parent
+	target   []int32
+	walk     []int32
+	moveScr  []int // Move's copy of the node's topology neighbours
 }
 
 // New starts a maintainer over the initial instance, built with the

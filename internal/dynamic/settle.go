@@ -29,16 +29,13 @@ import (
 // old neighbours' lists, and Remove shifts every built list down. Only
 // the point set decides the lists, so rebuilds and anneals keep them.
 
-// nodeScratch, labelScratch and searchScratch are the settle's per-node,
-// per-label and per-search working state. Every field is valid only
-// while its stamp equals the current settle's (or round's, or piece's)
-// stamp, so nothing is ever cleared.
+// nodeScratch and labelScratch are the settle's per-node and per-label
+// working state. Every field is valid only while its stamp equals the
+// current settle's (or piece's) stamp, so nothing is ever cleared.
 type nodeScratch struct {
-	seen    uint64 // settle stamp: found by a search
+	seen    uint64 // settle stamp: walked into a piece
 	queried uint64 // settle stamp: in the settle's query set
-	search  int32  // the search that found it
-	next    int32  // the next node its search found, -1 at the tail
-	piece   int32  // its finished piece, else -1
+	piece   int32  // the piece it was walked into
 }
 
 type labelScratch struct {
@@ -46,26 +43,9 @@ type labelScratch struct {
 	count     int32  // the label's nodes in that piece
 	bestAt    uint64 // settle stamp the best fields belong to
 	best      int32  // most of the label's nodes found in one piece
-	bestPiece int32  // that piece, or -1 when a skipped search holds the label
+	bestPiece int32  // that piece
 	elemAt    uint64 // settle stamp elem belongs to
-	elem      int32  // union-find element of a labeled component
-	skipAt    uint64 // round stamp: an unfinished search holds the label
-}
-
-// A search's nodes form a list through nodeScratch.next in the order
-// found, starting at its seed; head is the first still to expand. A
-// merge links the absorbed search's unexpanded rest behind the
-// survivor's tail, so the absorbed search keeps exactly the done nodes
-// it expanded itself.
-type searchScratch struct {
-	seed    int32  // the touched node it started from
-	label   int32  // the one old label of every seed absorbed, -1 once two
-	head    int32  // next node to expand, -1 when none is left
-	tail    int32  // last node of its list
-	done    int32  // nodes it expanded, seed included
-	roundAt uint64 // round stamp: counted by the stop test
-	pieceAt uint64 // settle stamp piece belongs to
-	piece   int32  // its piece index once finished
+	elem      int32  // union-find element of an untouched component
 }
 
 // nbrs returns u's UDG neighbour list, building it by one disk query on
@@ -225,13 +205,11 @@ func shiftOut(list []int32, idx int) []int32 {
 //
 // The cost is what the changes touched. Before them, labels, topology
 // partition and UDG partition agreed, so a crossing UDG edge either has
-// a moved endpoint (the edge is new) or joins two components that hold
-// nodes of one old label the changes split. explore searches from the
-// touched nodes until it may leave one component per old label
-// unexplored, and scan reads the neighbour lists of the moved nodes
-// plus, per split label, the nodes outside the one component it keeps:
-// a crossing edge between two components of one label has an endpoint
-// there.
+// a moved endpoint (the edge is new) or joins two pieces of one old
+// label that the changes split. explore walks the touched components,
+// and scan reads the neighbour lists of the moved nodes plus, per split
+// label, the nodes outside its largest piece: a crossing edge between
+// two pieces of one label has an endpoint there.
 func (m *Maintainer) repairConnectivity(join bool) bool {
 	defer func() { m.touched, m.moved = m.touched[:0], m.moved[:0] }()
 	if len(m.touched) == 0 && len(m.moved) == 0 {
@@ -255,235 +233,74 @@ func (m *Maintainer) repairConnectivity(join bool) bool {
 	return found
 }
 
-// explore finds the current topology's components around the touched
-// nodes. It runs one breadth-first search per touched node (a seed),
-// interleaved a node per search per round, and merges two searches
-// when one finds a node of the other. A search whose frontier empties
-// has found a whole component, a finished piece. explore stops as soon
-// as every unfinished search may be skipped:
-//
-//   - every seed it absorbed carries one old label L, and
-//   - no other unfinished search carries L.
-//
-// Then each skipped search's component holds label L only, and holds
-// every node of L outside the finished pieces: an edge between two old
-// labels was added since the last settle, so both its ends are seeds,
-// and expanding every seed before the first stop test puts the two in
-// one search. A skipped component thus keeps label L as a whole, like
-// an untouched one, and is never walked: of a label split in two, only
-// the smaller side is explored, the Even–Shiloach bound.
-//
-// The finished pieces' nodes land in m.nodes, piece p in
-// m.nodes[m.pieceAt[p]:m.pieceAt[p+1]]. For every old label met there
-// explore records the piece it keeps: the one holding most of its
-// nodes, or none (-1) when a skipped search holds the label. It returns
-// the number of adjacency visits.
+// explore walks the current topology breadth-first from the touched
+// nodes, one whole component (a piece) at a time, into m.nodes; piece p
+// is m.nodes[m.pieceAt[p]:m.pieceAt[p+1]]. Every node of an old label
+// met lands in a piece: the label's nodes stay in one component unless
+// edges between them were removed, and each part a removal leaves holds
+// an endpoint of a removed edge, which starts a walk. For every old
+// label met explore records the piece holding most of its nodes, ties
+// to the first. It returns the number of adjacency visits.
 func (m *Maintainer) explore(at uint64) int {
-	m.act = m.act[:0]
+	m.nodes, m.pieceAt = m.nodes[:0], m.pieceAt[:0]
+	visits := 0
 	for _, s := range m.touched {
 		if m.nodeScr[s].seen == at {
 			continue
 		}
-		id := int32(len(m.act))
-		if int(id) == len(m.searches) {
-			m.searches = append(m.searches, searchScratch{})
-			m.spar = append(m.spar, 0)
-		}
-		m.searches[id] = searchScratch{seed: s, label: m.label[s], head: s, tail: s}
-		m.spar[id] = id
-		m.nodeScr[s] = nodeScratch{seen: at, search: id, next: -1, piece: -1}
-		m.act = append(m.act, id)
-	}
-	searches := len(m.act)
-	m.seedsLeft = searches
-	visits := 0
-	for m.seedsLeft > 0 || !m.mayStop() {
-		for _, r := range m.act {
-			if u := m.searches[m.root(r)].head; u >= 0 {
-				visits += m.expand(at, u)
-			}
-		}
-	}
-	m.groupPieces(at, searches)
-	return visits
-}
-
-// expand visits u's topology neighbours for u's search, whose head u
-// is: a new node joins its list, a node of another search merges the
-// two.
-func (m *Maintainer) expand(at uint64, u int32) int {
-	id := m.nodeScr[u].search
-	if m.searches[id].seed == u {
-		m.seedsLeft--
-	}
-	r := m.root(id)
-	sc := &m.searches[r]
-	sc.head = m.nodeScr[u].next
-	sc.done++
-	nb := m.topo.Neighbors(int(u))
-	for _, v := range nb {
-		switch ns := &m.nodeScr[v]; {
-		case ns.seen != at:
-			*ns = nodeScratch{seen: at, search: r, next: -1, piece: -1}
-			sc = &m.searches[r]
-			m.nodeScr[sc.tail].next = int32(v)
-			sc.tail = int32(v)
-			if sc.head < 0 {
-				sc.head = int32(v)
-			}
-		case ns.search == id || ns.search == r:
-		default:
-			if rv := m.root(ns.search); rv != r {
-				r = m.merge(r, rv)
-			}
-		}
-	}
-	return len(nb)
-}
-
-// merge unites searches a and b and returns the survivor: b's
-// unexpanded rest joins a's list behind its unexpanded rest.
-func (m *Maintainer) merge(a, b int32) int32 {
-	sa, sb := &m.searches[a], &m.searches[b]
-	m.spar[b] = a
-	if sb.head >= 0 {
-		if sa.head < 0 {
-			sa.head = sb.head
-		}
-		m.nodeScr[sa.tail].next = sb.head
-		sa.tail = sb.tail
-	}
-	if sa.label != sb.label {
-		sa.label = -1
-	}
-	return a
-}
-
-// root returns the surviving search search x was merged into, halving
-// paths.
-func (m *Maintainer) root(x int32) int32 {
-	for m.spar[x] != x {
-		m.spar[x] = m.spar[m.spar[x]]
-		x = m.spar[x]
-	}
-	return x
-}
-
-// mayStop prunes m.act to the distinct unfinished searches and reports
-// whether all of them may be skipped (see explore). The labels they hold
-// are left stamped with the round.
-func (m *Maintainer) mayStop() bool {
-	m.stamp++
-	round := m.stamp
-	ok := true
-	act := m.act[:0]
-	for _, r := range m.act {
-		r = m.root(r)
-		sc := &m.searches[r]
-		if sc.roundAt == round || sc.head < 0 {
-			continue
-		}
-		sc.roundAt = round
-		act = append(act, r)
-		if sc.label < 0 {
-			ok = false
-			continue
-		}
-		ls := &m.labelScr[sc.label]
-		if ls.skipAt == round {
-			ok = false
-		}
-		ls.skipAt = round
-	}
-	m.act = act
-	return ok
-}
-
-// groupPieces numbers the finished searches as pieces, gathers their
-// nodes into m.nodes, and records the piece each old label keeps.
-func (m *Maintainer) groupPieces(at uint64, searches int) {
-	for _, r := range m.act {
-		ls := &m.labelScr[m.searches[r].label]
-		ls.bestAt, ls.best, ls.bestPiece = at, math.MaxInt32, -1
-	}
-	m.pieceAt = m.pieceAt[:0]
-	for s := range searches {
-		r := &m.searches[m.root(int32(s))]
-		if r.head >= 0 {
-			continue
-		}
-		if r.pieceAt != at {
-			r.pieceAt, r.piece = at, int32(len(m.pieceAt))
-			m.pieceAt = append(m.pieceAt, 0)
-		}
-		m.pieceAt[r.piece] += m.searches[s].done
-	}
-	total := int32(0)
-	for p, c := range m.pieceAt {
-		m.pieceAt[p] = total
-		total += c
-	}
-	m.pieceAt = append(m.pieceAt, total)
-	m.nodes = slices.Grow(m.nodes[:0], int(total))[:total]
-	for s := range searches {
-		r := &m.searches[m.root(int32(s))]
-		if r.head >= 0 {
-			continue
-		}
-		i := m.pieceAt[r.piece]
-		for u, k := m.searches[s].seed, int32(0); k < m.searches[s].done; k++ {
-			m.nodes[i+k] = u
-			u = m.nodeScr[u].next
-		}
-		m.pieceAt[r.piece] += m.searches[s].done
-	}
-	// The fill advanced each start to the next piece's: shift back.
-	copy(m.pieceAt[1:], m.pieceAt[:len(m.pieceAt)-1])
-	m.pieceAt[0] = 0
-	for p := 0; p+1 < len(m.pieceAt); p++ {
+		p := int32(len(m.pieceAt))
+		start := len(m.nodes)
+		m.pieceAt = append(m.pieceAt, int32(start))
 		m.stamp++
 		pieceStamp := m.stamp
+		m.nodeScr[s] = nodeScratch{seen: at, piece: p}
+		m.nodes = append(m.nodes, s)
 		m.plabels = m.plabels[:0]
-		for _, u := range m.nodes[m.pieceAt[p]:m.pieceAt[p+1]] {
-			m.nodeScr[u].piece = int32(p)
+		for i := start; i < len(m.nodes); i++ {
+			u := m.nodes[i]
 			ls := &m.labelScr[m.label[u]]
 			if ls.countAt != pieceStamp {
 				ls.countAt, ls.count = pieceStamp, 0
 				m.plabels = append(m.plabels, m.label[u])
 			}
 			ls.count++
+			nb := m.topo.Neighbors(int(u))
+			visits += len(nb)
+			for _, v := range nb {
+				if m.nodeScr[v].seen != at {
+					m.nodeScr[v] = nodeScratch{seen: at, piece: p}
+					m.nodes = append(m.nodes, int32(v))
+				}
+			}
 		}
 		for _, l := range m.plabels {
 			ls := &m.labelScr[l]
 			if ls.bestAt != at || ls.count > ls.best {
-				ls.bestAt, ls.best, ls.bestPiece = at, ls.count, int32(p)
+				ls.bestAt, ls.best, ls.bestPiece = at, ls.count, p
 			}
 		}
 	}
-}
-
-// inPiece reports whether u lies in one of the settle's finished pieces.
-func (m *Maintainer) inPiece(at uint64, u int) bool {
-	return m.nodeScr[u].seen == at && m.nodeScr[u].piece >= 0
+	m.pieceAt = append(m.pieceAt, int32(len(m.nodes)))
+	return visits
 }
 
 // sameComponent reports whether u and v lie in one component of the
-// current topology: one finished piece, or one labeled component — an
-// untouched one or a skipped search's, either holding its label alone.
+// current topology: one piece, or one untouched (hence still correctly
+// labeled) component.
 func (m *Maintainer) sameComponent(at uint64, u, v int) bool {
-	pu, pv := m.inPiece(at, u), m.inPiece(at, v)
+	su, sv := m.nodeScr[u].seen == at, m.nodeScr[v].seen == at
 	switch {
-	case pu != pv:
+	case su != sv:
 		return false
-	case pu:
+	case su:
 		return m.nodeScr[u].piece == m.nodeScr[v].piece
 	}
 	return m.label[u] == m.label[v]
 }
 
 // scan collects the crossing UDG edges into m.cross, each once, from the
-// neighbour lists of the moved nodes and of every piece node outside the
-// piece its old label keeps. With join unset it stops at the first
+// neighbour lists of the moved nodes and of every piece node outside its
+// old label's largest piece. With join unset it stops at the first
 // crossing edge and reports it. It also returns the number of lists it
 // had to build by a disk query.
 func (m *Maintainer) scan(at uint64, join bool) (found bool, scanned int) {
@@ -531,7 +348,7 @@ func (m *Maintainer) scan(at uint64, join bool) (found bool, scanned int) {
 }
 
 // join runs Kruskal over m.cross in (W, U, V) order with a union-find
-// whose elements are the finished pieces (0..P-1) and then the labeled
+// whose elements are the pieces (0..P-1) and then the untouched
 // components met, in order; m.rep holds a node of each of the latter.
 // Kruskal accepts at most the first edge between two elements, so only
 // the lightest crossing edge per element pair is sorted.
@@ -589,10 +406,10 @@ func edgeOrder(a, b graph.Edge) int {
 	return cmp.Compare(a.V, b.V)
 }
 
-// elem returns x's union-find element in join: its finished piece, or
-// its labeled component's, appended on first use.
+// elem returns x's union-find element in join: its piece, or its
+// untouched component's, appended on first use.
 func (m *Maintainer) elem(at uint64, x int) int32 {
-	if m.inPiece(at, x) {
+	if m.nodeScr[x].seen == at {
 		return m.nodeScr[x].piece
 	}
 	ls := &m.labelScr[m.label[x]]
@@ -613,12 +430,11 @@ func (m *Maintainer) find(x int32) int32 {
 	return x
 }
 
-// relabelPieces gives each joined group one label. The finished pieces'
-// nodes leave their old labels first, so a skipped search's label then
-// counts exactly its component, like an untouched one's. A group keeps
-// its largest labeled component's label, and the smaller labeled
-// components joined to the group are walked. It returns the adjacency
-// visits the walks took.
+// relabelPieces gives each joined group one label. The pieces' old
+// labels all empty out (every node of a label met in a piece lies in a
+// piece). A group keeps its largest untouched component's label, or
+// takes a new one, and smaller untouched components joined to the group
+// are walked. It returns the adjacency visits the walks took.
 func (m *Maintainer) relabelPieces() int {
 	pieces := len(m.pieceAt) - 1
 	for _, u := range m.nodes {
@@ -656,7 +472,7 @@ func (m *Maintainer) relabelPieces() int {
 	return visits
 }
 
-// walkRelabel moves the labeled component of s, every node labeled
+// walkRelabel moves the untouched component of s, every node labeled
 // from, to label to, and returns the adjacency visits it took.
 func (m *Maintainer) walkRelabel(s, from, to int32) int {
 	visits := 0

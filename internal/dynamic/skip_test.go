@@ -81,19 +81,18 @@ func settleBatch(t *testing.T, m *dynamic.Maintainer, ops func()) []graph.Edge {
 	return want
 }
 
-// The settle's explore may leave a search unexplored (skip its piece)
-// only under two conditions, each tested below on a batch where
-// breaking it changes the repair:
+// Two batch shapes the settle's repair must get right, each checked
+// against oracle.RepairEdges:
 //
-//  1. every seed the search absorbed carries one old label, and
-//  2. no other skipped search carries that label: at most one piece per
-//     label is skipped.
+//  1. one old label split into two large pieces that the UDG still
+//     joins, and
+//  2. one piece holding nodes of two old labels, which a link joined.
 
 // TestSkipOnePiecePerLabel: a cut vertex in the middle of a long ladder
 // leaves, splitting one label into two large pieces that the UDG still
-// joins. Both pieces' searches are unfinished after the seeds expand;
-// skipping both would key every unexplored node of both by the one
-// label, so the crossing edge between them would never be found.
+// joins. The crossing edge between the two pieces is found only from
+// the nodes outside the label's largest piece, and the repair must add
+// exactly the oracle's edges.
 func TestSkipOnePiecePerLabel(t *testing.T) {
 	m := dynamic.New(ladder(0, 0, 30), 100)
 	a, second := splitter(m, 0, 60)
@@ -108,11 +107,9 @@ func TestSkipOnePiecePerLabel(t *testing.T) {
 
 // TestSkipNeedsOneLabel: a leaf of ladder B leaves, and a leaf of
 // ladder A moves next to the B node it hung from and links to it, so
-// that node's search absorbs the mover's and holds seeds of two old
-// labels. Its piece (B plus the mover) must be explored in full.
-// Skipped as B's, it would leave the mover keyed by A, one key with A's
-// own unexplored piece: the mover's link would read as a crossing edge
-// and join the two ladders' labels although they stay apart.
+// one piece (B plus the mover) holds nodes of two old labels. The
+// mover's link is a topology edge, not a crossing one: the repair must
+// keep the two ladders apart, and the mover's only edge is its link.
 func TestSkipNeedsOneLabel(t *testing.T) {
 	const nA = 80
 	pts := append(ladder(0, 0, nA/2), ladder(0, 50, 20)...)
