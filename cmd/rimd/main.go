@@ -22,8 +22,8 @@
 // With -data-dir, every applied batch is write-ahead logged and sessions
 // are checkpointed periodically (-checkpoint-every) and at shutdown; on
 // boot the daemon recovers every session from the newest checkpoint plus
-// WAL replay, cross-checked against the naive oracle, and logs a recovery
-// manifest. -fsync picks the durability/latency trade
+// WAL replay, cross-checked against a from-scratch recount, and logs a
+// recovery manifest. -fsync picks the durability/latency trade
 // (always|batch|none). The WAL is the record of every session's
 // mutations: `ifctl log-dump -data DIR` prints it, and replaying it
 // reproduces each session exactly. See DESIGN.md's Durability section.

@@ -189,6 +189,7 @@ type Maintainer struct {
 	target   []int32
 	walk     []int32
 	moveScr  []int // Move's copy of the node's topology neighbours
+	gone     []int // Remove's list of the victim's former neighbours
 }
 
 // New starts a maintainer over the initial instance, built with the
@@ -441,26 +442,12 @@ func (m *Maintainer) Remove(idx int) {
 	m.eng.RemovePoint(idx)
 	m.forget(idx)
 	m.dropNbrs(idx)
-	// Rebuild the topology over the surviving nodes with edges remapped;
-	// the victim's neighbors are touched.
-	remap := func(v int) int {
-		if v > idx {
-			return v - 1
-		}
-		return v
+	// Delete the victim from the topology in place, indices shifting
+	// down; its former neighbors are touched.
+	m.gone = m.topo.DeleteNode(idx, m.gone[:0])
+	for _, v := range m.gone {
+		m.touched = append(m.touched, int32(v))
 	}
-	ng := graph.New(len(m.points()))
-	for _, e := range m.topo.Edges() {
-		switch idx {
-		case e.U:
-			m.touched = append(m.touched, int32(remap(e.V)))
-		case e.V:
-			m.touched = append(m.touched, int32(remap(e.U)))
-		default:
-			ng.AddEdge(remap(e.U), remap(e.V), e.W)
-		}
-	}
-	m.topo = ng
 	m.needRepair, m.needCheck = true, true
 	m.fire(Event{Kind: EventRemove, Index: idx, Max: m.eng.Max()})
 	m.settle()

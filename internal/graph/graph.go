@@ -94,6 +94,46 @@ func (g *Graph) Rethread() {
 	}
 }
 
+// DeleteNode removes node x and its edges in place, renumbering every
+// node above x down by one. The surviving edges keep their order, and
+// the graph ends exactly as one built edge by edge from its new Edges()
+// (adjacency lists rethreaded in edge-list order). It appends x's former
+// neighbours, renumbered and in edge-list order, to dst and returns it.
+// It costs O(n + m) and reuses the graph's storage.
+func (g *Graph) DeleteNode(x int, dst []int) []int {
+	if x < 0 || x >= g.n {
+		panic(fmt.Sprintf("graph: delete node %d out of range [0,%d)", x, g.n))
+	}
+	remap := func(v int) int {
+		if v > x {
+			return v - 1
+		}
+		return v
+	}
+	clear(g.edgeSet)
+	kept := g.edges[:0]
+	for _, e := range g.edges {
+		switch x {
+		case e.U:
+			dst = append(dst, remap(e.V))
+			continue
+		case e.V:
+			dst = append(dst, e.U)
+			continue
+		}
+		e.U, e.V = remap(e.U), remap(e.V)
+		g.edgeSet[[2]int{e.U, e.V}] = len(kept)
+		kept = append(kept, e)
+	}
+	g.edges = kept
+	copy(g.adj[x:], g.adj[x+1:])
+	g.adj[g.n-1] = nil
+	g.adj = g.adj[:g.n-1]
+	g.n--
+	g.Rethread()
+	return dst
+}
+
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 

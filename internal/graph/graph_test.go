@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -354,4 +356,92 @@ func bellmanFord(g *Graph, src int) []float64 {
 		}
 	}
 	return dist
+}
+
+// TestDeleteNodeMatchesCopyProperty: deleting a node in place leaves the
+// graph exactly as one built edge by edge from the filtered, renumbered
+// edge list — edge order, every adjacency list's order, membership and
+// weights — and later edits land the same on both. It also reports the
+// victim's neighbours, renumbered, in edge-list order.
+func TestDeleteNodeMatchesCopyProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(16)
+		for _, x := range []int{0, n - 1, n / 2} {
+			g := New(n)
+			for i := 0; i < rng.Intn(3*n+1); i++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u == v {
+					continue
+				}
+				if rng.Intn(4) == 0 {
+					g.RemoveEdge(u, v) // scramble adjacency order first
+				} else {
+					g.AddEdge(u, v, rng.Float64())
+				}
+			}
+			remap := func(v int) int {
+				if v > x {
+					return v - 1
+				}
+				return v
+			}
+			want := New(n - 1)
+			var wantGone []int
+			for _, e := range g.Edges() {
+				switch x {
+				case e.U:
+					wantGone = append(wantGone, remap(e.V))
+				case e.V:
+					wantGone = append(wantGone, remap(e.U))
+				default:
+					want.AddEdge(remap(e.U), remap(e.V), e.W)
+				}
+			}
+			gone := g.DeleteNode(x, []int{-1})
+			if !slices.Equal(gone, append([]int{-1}, wantGone...)) {
+				t.Fatalf("trial %d delete %d of %d: neighbours %v, want %v appended to [-1]", trial, x, n, gone, wantGone)
+			}
+			if err := sameGraph(g, want); err != "" {
+				t.Fatalf("trial %d delete %d of %d: %s", trial, x, n, err)
+			}
+			if n >= 3 {
+				u, v := rng.Intn(n-1), rng.Intn(n-1)
+				if u != v {
+					if g.RemoveEdge(u, v) != want.RemoveEdge(u, v) || g.AddEdge(v, u, 9) != want.AddEdge(v, u, 9) {
+						t.Fatalf("trial %d: later edit of (%d,%d) disagrees", trial, u, v)
+					}
+					if err := sameGraph(g, want); err != "" {
+						t.Fatalf("trial %d delete %d of %d, then edit (%d,%d): %s", trial, x, n, u, v, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameGraph describes the first difference between g and h in node
+// count, edge order, adjacency order, membership or weights, or is "".
+func sameGraph(g, h *Graph) string {
+	if g.N() != h.N() || g.M() != h.M() {
+		return fmt.Sprintf("n,m = %d,%d, want %d,%d", g.N(), g.M(), h.N(), h.M())
+	}
+	for i, e := range g.Edges() {
+		if e != h.Edges()[i] {
+			return fmt.Sprintf("edge %d is %v, want %v", i, e, h.Edges()[i])
+		}
+	}
+	for u := 0; u < g.N(); u++ {
+		if !slices.Equal(g.Neighbors(u), h.Neighbors(u)) {
+			return fmt.Sprintf("node %d: adjacency %v, want %v", u, g.Neighbors(u), h.Neighbors(u))
+		}
+		for v := 0; v < g.N(); v++ {
+			gw, gok := g.EdgeWeight(u, v)
+			hw, hok := h.EdgeWeight(u, v)
+			if g.HasEdge(u, v) != h.HasEdge(u, v) || gok != hok || gw != hw {
+				return fmt.Sprintf("pair (%d,%d): edge %v weight %v, want %v %v", u, v, gok, gw, hok, hw)
+			}
+		}
+	}
+	return ""
 }

@@ -9,7 +9,9 @@
 // single Check entry point, a differential evaluator that shadows every
 // core.Evaluator operation with the obvious slice semantics, metamorphic
 // laws the measure must satisfy on any instance, and a deterministic-
-// replay harness for the packet simulator.
+// replay harness for the packet simulator. A sorted-sweep recount
+// (sweep.go), held bit-equal to the naive loops, serves boot
+// verification at sizes where O(n²) would dominate.
 //
 // The package deliberately depends only on the layers it validates (core,
 // sim) plus the primitive geometry/graph layers. Algorithm packages (opt,

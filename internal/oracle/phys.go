@@ -35,7 +35,11 @@ func PhysPower(pts []geom.Point, radii []float64, m phys.Model) []int64 {
 // (⌊pw/UnitScale⌋), the physical analogue of the naive Interference
 // vector.
 func PhysLevels(pts []geom.Point, radii []float64, m phys.Model) core.Vector {
-	pw := PhysPower(pts, radii, m)
+	return levels(PhysPower(pts, radii, m))
+}
+
+// levels floors quantized power sums to integer interference levels.
+func levels(pw []int64) core.Vector {
 	lv := make(core.Vector, len(pw))
 	for i, p := range pw {
 		lv[i] = int(p >> phys.LogUnitScale)

@@ -35,7 +35,7 @@ type RecoveryStats struct {
 	TornTail           bool     // the WAL ended mid-record (healed)
 	TornBytes          int64    // bytes the torn tail dropped
 	SkippedCheckpoints []string // invalid checkpoint files ignored
-	Verified           int      // sessions cross-checked against the naive oracle
+	Verified           int      // sessions cross-checked against a from-scratch recount
 }
 
 // incarnation is one create-to-drop lifetime of a session ID inside the
@@ -50,9 +50,10 @@ type incarnation struct {
 // checkpoint per session, plus a replay of the WAL tail through the
 // follower's apply path (applyReplicated) into the normal batch
 // pipeline. With verify set, every recovered session's
-// interference vector is cross-checked against the naive O(n²) oracle —
-// a recovery that cannot pass the paper's own definition fails loudly
-// instead of serving silently wrong state.
+// interference vector is cross-checked against a from-scratch recount
+// of the paper's definition (the oracle's sorted sweep, O(n log n +
+// Σ strip)) — a recovery that cannot pass the paper's own definition
+// fails loudly instead of serving silently wrong state.
 //
 // Call once, on boot, before exposing the manager to clients; replayed
 // batches flow through the live shard pool but are not re-logged.
@@ -206,16 +207,18 @@ func (m *Manager) Recover(verify bool) (RecoveryStats, error) {
 	return rs, nil
 }
 
-// verifySession recomputes the recovered interference vector with the
-// naive O(n²) oracle for the session's measure and compares it to the
-// engine's maintained state.
+// verifySession recounts the recovered interference vector from scratch,
+// from the recovered points and radii alone, with the oracle's sorted
+// sweep for the session's measure, and compares it to the engine's
+// maintained state. The recount shares no code with the engines or
+// geom.Grid, so a replay that drifted the incremental vector fails here.
 func verifySession(s *Session) error {
 	st := s.mt.Snapshot()
 	var iv core.Vector
 	if s.measure == MeasureSinr {
-		iv = oracle.PhysLevels(st.Points, st.Radii, phys.Default())
+		iv = oracle.SweepPhysLevels(st.Points, st.Radii, phys.Default())
 	} else {
-		iv = oracle.Interference(st.Points, st.Radii)
+		iv = oracle.SweepInterference(st.Points, st.Radii)
 	}
 	snap := s.Snapshot()
 	if max := iv.Max(); max != snap.Max {
