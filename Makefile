@@ -24,7 +24,7 @@ check: vet
 	$(GO) test -run 'Oracle|Law|Replay|BruteForce|Golden|Fuzz|Property|Repair|Skip' -count=1 \
 		./internal/oracle/ ./internal/core/ ./internal/graph/ ./internal/opt/ ./internal/topology/ \
 		./internal/highway/ ./internal/dynamic/ ./internal/sim/ ./cmd/paperrepro/ \
-		./internal/serve/ ./internal/repl/ ./internal/exp/ ./cmd/ifctl/
+		./internal/serve/ ./internal/repl/ ./internal/exp/ ./cmd/ifctl/ ./internal/gather/
 
 # Regenerate every table/figure as benchmarks. New performance numbers
 # come from rimbench/run.sh (repeated seeded runs with a reported

@@ -74,17 +74,20 @@ func EuclideanMST(pts []geom.Point, maxLen float64) *Graph {
 // radii or its component count (n minus the edge count) builds no
 // graph.
 //
-// It is Prim's algorithm over a geom.Grid with a binary heap keyed by
-// (distance, index) and lazy deletion: each node relaxes only the nodes
-// within maxLen of it, so a range-limited forest costs
-// O(Σ_u |D(u, maxLen) ∩ V| · log n) rather than Θ(n²). The heap extracts
-// the node dense Prim extracts (the smallest distance, ties to the
-// smaller index), relaxation uses the same strict <, and every component
-// is started from its smallest index in ascending order, so the forest
-// is oracle.EuclideanMST's edge for edge, in the same order. The query
-// radius is capped at the bounding-box diagonal, which every pair lies
-// within, so the unrestricted forest takes the same path (at Θ(n²)
-// distance tests, since every query then spans the whole grid).
+// It is Prim's algorithm over a geom.Grid with an indexed binary heap
+// keyed by (distance, index): each node relaxes only the nodes within
+// maxLen of it, and a relaxation that lowers a node's distance inserts
+// it or sifts it up in place, so the heap holds each node at most once
+// (≤ n entries, even unrestricted) and a range-limited forest costs
+// O(Σ_u |D(u, maxLen) ∩ V| + k log n) for k key decreases rather than
+// Θ(n²). The heap extracts the node dense Prim extracts (the smallest
+// distance, ties to the smaller index), relaxation uses the same strict
+// <, and every component is started from its smallest index in
+// ascending order, so the forest is oracle.EuclideanMST's edge for edge,
+// in the same order. The query radius is capped at the bounding-box
+// diagonal, which every pair lies within, so the unrestricted forest
+// takes the same path (at Θ(n²) distance tests, since every query then
+// spans the whole grid).
 func EuclideanMSTEdges(pts []geom.Point, maxLen float64) []Edge {
 	n := len(pts)
 	if n == 0 {
@@ -107,7 +110,7 @@ func EuclideanMSTEdges(pts []geom.Point, maxLen float64) []Edge {
 	for i := range bestD {
 		bestD[i] = math.Inf(1)
 	}
-	var h primHeap
+	h := newPrimHeap(bestD)
 	var buf []int
 	for start := 0; start < n; start++ {
 		if inTree[start] {
@@ -115,16 +118,13 @@ func EuclideanMSTEdges(pts []geom.Point, maxLen float64) []Edge {
 		}
 		bestD[start] = 0
 		bestTo[start] = -1
-		h.push(0, int32(start))
-		for len(h) > 0 {
-			ud, u32 := h.pop()
+		h.decrease(int32(start))
+		for len(h.heap) > 0 {
+			u32 := h.pop()
 			u := int(u32)
-			if inTree[u] || ud != bestD[u] {
-				continue // stale: u was extracted or improved since
-			}
 			inTree[u] = true
 			if bestTo[u] >= 0 {
-				edges = append(edges, NewEdge(int(bestTo[u]), u, ud))
+				edges = append(edges, NewEdge(int(bestTo[u]), u, bestD[u]))
 			}
 			buf = grid.Within(pts[u], r, buf[:0])
 			for _, v := range buf {
@@ -134,7 +134,7 @@ func EuclideanMSTEdges(pts []geom.Point, maxLen float64) []Edge {
 				if d := pts[u].Dist(pts[v]); d < bestD[v] {
 					bestD[v] = d
 					bestTo[v] = u32
-					h.push(d, int32(v))
+					h.decrease(int32(v))
 				}
 			}
 		}
@@ -142,54 +142,79 @@ func EuclideanMSTEdges(pts []geom.Point, maxLen float64) []Edge {
 	return edges
 }
 
-// primHeap is a binary min-heap of (distance, node) ordered by distance,
-// then node index: the extraction order of dense Prim's scan.
-type primHeap []primItem
-
-type primItem struct {
-	d float64
-	v int32
+// primHeap is an indexed binary min-heap of nodes keyed by key[v], ties
+// to the smaller index: the extraction order of dense Prim's scan. The
+// keys live in the caller's slice, which lowers key[v] and then calls
+// decrease(v). pos[v] is v's slot in heap, or -1 while v is not in it.
+type primHeap struct {
+	key  []float64
+	pos  []int32
+	heap []int32
 }
 
-func (a primItem) less(b primItem) bool {
-	return a.d < b.d || (a.d == b.d && a.v < b.v)
+func newPrimHeap(key []float64) primHeap {
+	pos := make([]int32, len(key))
+	for i := range pos {
+		pos[i] = -1
+	}
+	return primHeap{key: key, pos: pos}
 }
 
-func (h *primHeap) push(d float64, v int32) {
-	*h = append(*h, primItem{d, v})
-	s := *h
-	for i := len(s) - 1; i > 0; {
+func (h *primHeap) less(a, b int32) bool {
+	return h.key[a] < h.key[b] || (h.key[a] == h.key[b] && a < b)
+}
+
+// decrease restores the heap order after key[v] was lowered, inserting v
+// if it is not in the heap.
+func (h *primHeap) decrease(v int32) {
+	i := h.pos[v]
+	if i < 0 {
+		i = int32(len(h.heap))
+		h.heap = append(h.heap, v)
+	}
+	for i > 0 {
 		p := (i - 1) / 2
-		if !s[i].less(s[p]) {
+		u := h.heap[p]
+		if !h.less(v, u) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		h.heap[i] = u
+		h.pos[u] = i
 		i = p
 	}
+	h.heap[i] = v
+	h.pos[v] = i
 }
 
-func (h *primHeap) pop() (float64, int32) {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	for i := 0; ; {
-		m := i
-		if l := 2*i + 1; l < len(s) && s[l].less(s[m]) {
-			m = l
-		}
-		if rc := 2*i + 2; rc < len(s) && s[rc].less(s[m]) {
-			m = rc
-		}
-		if m == i {
+// pop removes and returns the node of least (key, index).
+func (h *primHeap) pop() int32 {
+	top := h.heap[0]
+	h.pos[top] = -1
+	last := int32(len(h.heap) - 1)
+	v := h.heap[last]
+	h.heap = h.heap[:last]
+	if last == 0 {
+		return top
+	}
+	i := int32(0)
+	for {
+		c := 2*i + 1
+		if c >= last {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+		if c+1 < last && h.less(h.heap[c+1], h.heap[c]) {
+			c++
+		}
+		if !h.less(h.heap[c], v) {
+			break
+		}
+		h.heap[i] = h.heap[c]
+		h.pos[h.heap[i]] = i
+		i = c
 	}
-	*h = s
-	return top.d, top.v
+	h.heap[i] = v
+	h.pos[v] = i
+	return top
 }
 
 // TotalWeight returns the sum of edge weights of g.

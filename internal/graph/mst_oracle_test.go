@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,17 +51,53 @@ func TestEuclideanMSTMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for i, pts := range mstInstances(rng) {
 		for _, maxLen := range []float64{-1, 0, 0.5, 1, 2.5, math.Inf(1)} {
-			got := graph.EuclideanMST(pts, maxLen).Edges()
-			want := oracle.EuclideanMST(pts, maxLen).Edges()
-			if len(got) != len(want) {
-				t.Fatalf("instance %d (n=%d) maxLen=%v: %d edges, oracle %d", i, len(pts), maxLen, len(got), len(want))
-			}
-			for j := range want {
-				if got[j].U != want[j].U || got[j].V != want[j].V ||
-					math.Float64bits(got[j].W) != math.Float64bits(want[j].W) {
-					t.Fatalf("instance %d (n=%d) maxLen=%v: edge %d = %v, oracle %v", i, len(pts), maxLen, j, got[j], want[j])
-				}
-			}
+			sameForest(t, fmt.Sprintf("instance %d (n=%d) maxLen=%v", i, len(pts), maxLen),
+				graph.EuclideanMST(pts, maxLen).Edges(), oracle.EuclideanMST(pts, maxLen).Edges())
+		}
+	}
+}
+
+// TestEuclideanMSTMatchesOracleAtScale repeats the comparison where the
+// heap runs deep, at maxLen 1: the anneal's instance (n=4096 uniform on
+// a square of side 12), a 64×64 lattice of step 0.5 with coincident
+// copies, where decrease-keys land on keys many nodes share, and the
+// longest exponential chain.
+func TestEuclideanMSTMatchesOracleAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	uniform := gen.UniformSquare(rng, 4096, 12)
+	var lattice []geom.Point
+	for x := 0; x < 64; x++ {
+		for y := 0; y < 64; y++ {
+			lattice = append(lattice, geom.Pt(float64(x)*0.5, float64(y)*0.5))
+		}
+	}
+	for d := 0; d < 512; d++ {
+		lattice = append(lattice, lattice[rng.Intn(4096)])
+	}
+	rng.Shuffle(len(lattice), func(a, b int) { lattice[a], lattice[b] = lattice[b], lattice[a] })
+	for _, c := range []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"uniform", uniform},
+		{"lattice", lattice},
+		{"expchain", gen.ExpChain(gen.MaxExpChainN, 1)},
+	} {
+		sameForest(t, c.name, graph.EuclideanMSTEdges(c.pts, 1), oracle.EuclideanMST(c.pts, 1).Edges())
+	}
+}
+
+// sameForest fails unless got is want edge for edge, in the same order,
+// with bit-equal weights.
+func sameForest(t *testing.T, what string, got, want []graph.Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, oracle %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if got[j].U != want[j].U || got[j].V != want[j].V ||
+			math.Float64bits(got[j].W) != math.Float64bits(want[j].W) {
+			t.Fatalf("%s: edge %d = %v, oracle %v", what, j, got[j], want[j])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/geom"
 )
 
@@ -165,6 +166,61 @@ func TestStretch(t *testing.T) {
 	}
 }
 
+// TestPrimHeapProperty drives the indexed heap through random inserts,
+// decrease-keys and pops over four key values, so most keys tie: every
+// pop is a full scan's (key, index) argmin over the nodes in the heap,
+// and after every operation pos holds each heap node's slot and -1 for
+// every other node.
+func TestPrimHeapProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for round := 0; round < 300; round++ {
+		n := 1 + rng.Intn(40)
+		key := make([]float64, n)
+		in := make([]bool, n)
+		h := newPrimHeap(key)
+		for op := 0; op < 400; op++ {
+			v := int32(rng.Intn(n))
+			k := float64(rng.Intn(4)) / 2
+			switch {
+			case len(h.heap) > 0 && rng.Intn(3) == 0:
+				want := int32(-1)
+				for u := int32(0); u < int32(n); u++ {
+					if in[u] && (want < 0 || key[u] < key[want]) {
+						want = u
+					}
+				}
+				if got := h.pop(); got != want {
+					t.Fatalf("round %d op %d: pop = %d (key %v), scan argmin %d (key %v)", round, op, got, key[got], want, key[want])
+				}
+				in[want] = false
+			case !in[v]:
+				key[v], in[v] = k, true
+				h.decrease(v)
+			case k <= key[v]:
+				key[v] = k
+				h.decrease(v)
+			}
+			held := 0
+			for u := range in {
+				if in[u] != (h.pos[u] >= 0) {
+					t.Fatalf("round %d op %d: node %d in heap %v, pos %d", round, op, u, in[u], h.pos[u])
+				}
+				if in[u] {
+					held++
+				}
+			}
+			if held != len(h.heap) {
+				t.Fatalf("round %d op %d: heap holds %d slots, %d nodes", round, op, len(h.heap), held)
+			}
+			for i, u := range h.heap {
+				if h.pos[u] != int32(i) {
+					t.Fatalf("round %d op %d: slot %d holds %d, pos %d", round, op, i, u, h.pos[u])
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkEuclideanMST(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	pts := make([]geom.Point, 500)
@@ -174,5 +230,16 @@ func BenchmarkEuclideanMST(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EuclideanMST(pts, math.Inf(1))
+	}
+}
+
+// BenchmarkEuclideanMST4096 builds the anneal's start: the unit-range
+// forest of n = 4096 uniform points on a square of side 12.
+func BenchmarkEuclideanMST4096(b *testing.B) {
+	pts := gen.UniformSquare(rand.New(rand.NewSource(2)), 4096, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EuclideanMSTEdges(pts, 1)
 	}
 }

@@ -125,8 +125,7 @@ func ExactBudgetWith(factory core.MeasureFactory, pts []geom.Point, budget int64
 	// measured through the same engine (then reset to all-zero for the
 	// search invariant), so it is exact under any measure.
 	seed := sp.Child("opt.exact.seed")
-	mst := graph.EuclideanMST(pts, udg.Radius)
-	seedRadii := core.Radii(pts, mst)
+	seedRadii := core.EdgeRadii(n, graph.EuclideanMSTEdges(pts, udg.Radius))
 	ev.BatchSet(seedRadii, 0)
 	seedI := ev.Max()
 	ev.BatchSet(make([]float64, n), 0)
